@@ -72,8 +72,8 @@ MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test bounds
 echo "==> vectorization battery (reduced matrix)"
 # {scalar, chunked} x {chunk sizes} x {shards} x {faults} x {crash
 # points}: chunked ingestion must be bit-identical to the per-record
-# oracle in every cell — reports, per-epoch results, bounds, snapshots
-# and WAL encodings.
+# oracle in every cell — reports, per-epoch results, bounds and
+# snapshot encodings.
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test vectorized
 
 echo "==> adaptive-runtime battery (reduced matrix)"
@@ -111,10 +111,11 @@ MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin d
 git checkout -- results/BENCH_degraded_accuracy.json 2>/dev/null || true
 
 echo "==> durability drill (reduced matrix)"
-# {bit-flip, truncation, torn write, ENOSPC, EIO, crash-between-ops,
-# lying fsync} x {snapshot, WAL segment, manifest pair} plus the
-# DiskBackend kill-between-syscalls sweep: every cell must end in
-# bit-identical recovery or an explicit accounted fallback, twice.
+# {bit-flip, truncation} x {snapshot, manifest pair}, {torn write,
+# ENOSPC, EIO, crash-after-op} x every store op of the run, the lying
+# fsync, plus the DiskBackend kill-between-syscalls sweep over every
+# step: each cell must end in bit-identical recovery or an explicit
+# accounted fallback, twice.
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test recovery
 
 echo "==> checkpoint-durability bench (reduced scale)"
@@ -128,6 +129,14 @@ if [ ! -s results/BENCH_durability.json ]; then
     echo "error: results/BENCH_durability.json missing or empty" >&2
     exit 1
 fi
+
+echo "==> perfbench smoke (durable workload)"
+# perfbench/ is its own cargo workspace, so the steps above never build
+# it. A short durable run compiles it against the current store and
+# executor API, then crashes, recovers and replays; it exits non-zero on
+# any oracle mismatch, store failure or divergence.
+timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload durable --seed 1 --seconds 2 --trace 0
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

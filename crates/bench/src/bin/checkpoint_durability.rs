@@ -2,17 +2,16 @@
 //! fast a cold process comes back.
 //!
 //! The durable store commits a generation at every epoch boundary
-//! (write-temp → fsync → rename → fsync-dir) and appends each
-//! post-commit eviction delivery to a checksummed WAL. Both disciplines
-//! buy crash atomicity with real syscalls, so the interesting numbers
-//! are the *overhead* of a store-attached run against the identical
-//! in-memory run, amortized per commit, and the *cold-start latency*:
-//! reopening the directory, scrubbing every artifact, and rebuilding an
-//! executor from the newest generation.
+//! (write-temp → fsync → rename → fsync-dir) and writes nothing in
+//! between. Commits buy crash atomicity with real syscalls, so the
+//! interesting numbers are the *overhead* of a store-attached run
+//! against the identical in-memory run, amortized per commit, and the
+//! *cold-start latency*: reopening the directory, scrubbing every
+//! artifact, and rebuilding an executor from the newest generation.
 //!
 //! The epoch length is the checkpoint-density knob, so the sweep runs
 //! one row per epoch length: denser checkpoints mean more commit
-//! traffic but a shorter WAL replay on recovery. Before any timing is
+//! traffic but a shorter source replay on recovery. Before any timing is
 //! reported, each row's durable run and its recovery are executed twice
 //! and asserted bit-identical — reports, per-query results, store
 //! counters, and the recovered generation all included; wall-clock is
@@ -58,7 +57,7 @@ fn store_error(e: msa_core::StoreError) -> MsaError {
 
 /// One timed durable run into a fresh directory. The executor is
 /// dropped without `finish()` — the process "dies" with the last epoch
-/// open, exactly the state a cold start has to repair and replay.
+/// open, exactly the state a cold start has to replay.
 struct DurableRun {
     report: RunReport,
     stats: StoreStats,
@@ -137,7 +136,6 @@ fn cold_start(
 struct Row {
     epoch_micros: u64,
     commits: u64,
-    wal_appends: u64,
     run_ms: f64,
     baseline_ms: f64,
     overhead_pct: f64,
@@ -151,13 +149,12 @@ fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"epoch_micros\": {}, \"commits\": {}, \"wal_appends\": {}, \
+                "    {{\"epoch_micros\": {}, \"commits\": {}, \
                  \"durable_run_ms\": {:.3}, \"in_memory_run_ms\": {:.3}, \
                  \"overhead_pct\": {:.1}, \"per_commit_overhead_us\": {:.1}, \
                  \"cold_start_ms\": {:.3}, \"replay_records\": {}}}",
                 r.epoch_micros,
                 r.commits,
-                r.wal_appends,
                 r.run_ms,
                 r.baseline_ms,
                 r.overhead_pct,
@@ -172,9 +169,11 @@ fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
          \"records\": {records},\n  \"seed\": {root_seed},\n  \
          \"metric\": \"durable-run overhead and cold-start latency by checkpoint density\",\n  \
          \"note\": \"Each row attaches a real DiskBackend (write-temp/fsync/rename/fsync-dir \
-         commits, fsynced WAL appends) and compares against the identical in-memory run. \
-         cold_start_ms = reopen + full scrub + rebuild from the newest generation; \
-         replay_records = stream tail past the recovered high-water mark. Functional \
+         commits, one per epoch boundary and nothing in between) and compares against the \
+         identical in-memory run; per_commit_overhead_us charges the whole durable-minus-\
+         in-memory difference to the commits. cold_start_ms = reopen + full scrub + rebuild \
+         from the newest generation; replay_records = stream tail past the recovered \
+         high-water mark. Functional \
          determinism (two durable runs and two recoveries bit-identical: reports, results, \
          store counters, generation) is asserted before timings are reported — wall-clock \
          is the only free variable.\",\n  \"rows\": [\n{}\n  ]\n}}\n",
@@ -236,7 +235,6 @@ fn main() -> Result<(), MsaError> {
         rows.push(Row {
             epoch_micros,
             commits: d1.stats.commits,
-            wal_appends: d1.stats.wal_appends,
             run_ms: d1.run_ms,
             baseline_ms,
             overhead_pct: if baseline_ms > 0.0 {
@@ -259,7 +257,6 @@ fn main() -> Result<(), MsaError> {
             vec![
                 r.epoch_micros.to_string(),
                 r.commits.to_string(),
-                r.wal_appends.to_string(),
                 format!("{:.1}", r.run_ms),
                 format!("{:.1}", r.baseline_ms),
                 format!("{:.1}", r.overhead_pct),
@@ -274,7 +271,6 @@ fn main() -> Result<(), MsaError> {
         &[
             "epoch us",
             "commits",
-            "wal app",
             "run ms",
             "mem ms",
             "ovh %",

@@ -60,12 +60,12 @@ pub use msa_gigascope::executor::ValueSource;
 pub use msa_gigascope::table::AggState;
 pub use msa_gigascope::{
     shard_of, shard_seed, BoundsReport, Burst, ChannelFaults, CheckpointStore, CostParams,
-    CrashPlan, DegradationPolicy, DriftKind, DriftPlan, EvictionChannel, EvictionLog, Executor,
-    ExecutorConfig, FaultPlan, GuardLevel, GuardPolicy, GuardTransition, HandoffViolation, Hfta,
-    Ingest, IngestMode, LossBreakdown, LossClass, OverloadGuard, PhysicalPlan, PoisonRecord,
-    QueryBounds, RecoveredArtifacts, RecoveryError, RollbackReason, RunReport, ScrubReport,
-    ShardError, ShardFault, ShardHealth, ShardHeartbeat, ShardState, ShardedExecutor,
-    ShardedSnapshot, ShedDecision, Snapshot, SnapshotError, StoreHandle, StoreRecovery, StoreStats,
+    CrashPlan, DegradationPolicy, DriftKind, DriftPlan, EvictionChannel, Executor, ExecutorConfig,
+    FaultPlan, GuardLevel, GuardPolicy, GuardTransition, HandoffViolation, Hfta, Ingest,
+    IngestMode, LossBreakdown, LossClass, OverloadGuard, PhysicalPlan, PoisonRecord, QueryBounds,
+    RecoveredArtifacts, RecoveryError, RollbackReason, RunReport, ScrubReport, ShardError,
+    ShardFault, ShardHealth, ShardHeartbeat, ShardState, ShardedExecutor, ShardedSnapshot,
+    ShedDecision, Snapshot, SnapshotError, StoreHandle, StoreRecovery, StoreStats,
     SupervisorPolicy, SwapCrashPoint, SwapError, SwapFault, SwapOutcome, SwapReport,
 };
 pub use msa_optimizer::{

@@ -47,8 +47,8 @@ pub struct Burst {
 
 /// A declarative crash point: the executor halts *as if the process
 /// died* — no flush, no epoch close, no farewell snapshot — leaving
-/// only the durable artifacts (last boundary snapshot + write-ahead
-/// eviction log) for [`Executor::recover`](crate::Executor::recover).
+/// only the last boundary snapshot for
+/// [`Executor::recover`](crate::Executor::recover).
 ///
 /// Both fuses count *absolute* positions (record index since run start,
 /// eviction offers since run start), so a crash point measured on a

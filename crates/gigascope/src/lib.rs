@@ -30,9 +30,10 @@
 //! * [`faults::FaultPlan`] — seeded, declarative fault injection
 //!   (eviction loss/duplication, record bursts, epoch-clock skew,
 //!   process crashes) for deterministic chaos tests;
-//! * [`snapshot`] — epoch-aligned checkpoints plus a write-ahead
-//!   eviction log, giving crashed executors exactly-once recovery with
-//!   bit-identical results (see [`executor::Executor::recover`]);
+//! * [`snapshot`] — epoch-aligned checkpoints: a crashed executor
+//!   restores the last one and replays the source from its record
+//!   high-water mark, with bit-identical results (see
+//!   [`executor::Executor::recover`]);
 //! * [`shard`] — hash-partitioned multi-core execution: `N` shard
 //!   executors on OS threads behind bounded feeds, merged into one
 //!   deterministic result independent of thread scheduling (see
@@ -53,9 +54,8 @@
 //!   conservation), then commit — or roll back with the old deployment
 //!   untouched (see [`shard::ShardedExecutor::hot_swap`]);
 //! * [`store`] — the crash-safe durable store: atomic generational
-//!   checkpoints behind A/B checksummed manifests, a segmented WAL
-//!   with torn-tail truncation repair, an offline scrub pass, and
-//!   graceful fallback to older generations with the re-replayed or
+//!   checkpoints behind A/B checksummed manifests, an offline scrub
+//!   pass, and graceful fallback to older generations with the re-replayed or
 //!   lost records accounted through [`bounds`] (see
 //!   [`store::StoreHandle`]).
 
@@ -85,9 +85,7 @@ pub use guard::{
 pub use hfta::Hfta;
 pub use plan::{PhysicalPlan, PlanNode};
 pub use shard::{shard_of, shard_seed, IngestMode, ShardError, ShardedExecutor};
-pub use snapshot::{
-    EvictionLog, LogEntry, RecoveryError, ShardedSnapshot, Snapshot, SnapshotError,
-};
+pub use snapshot::{RecoveryError, ShardedSnapshot, Snapshot, SnapshotError};
 pub use store::{
     CheckpointStore, RecoveredArtifacts, ScrubReport, StoreHandle, StoreRecovery, StoreStats,
 };

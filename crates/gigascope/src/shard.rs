@@ -30,7 +30,7 @@ use crate::faults::{CrashPlan, FaultPlan, ShardFault};
 use crate::guard::{DegradationPolicy, GuardPolicy};
 use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
-use crate::snapshot::{EvictionLog, RecoveryError, ShardedSnapshot, Snapshot};
+use crate::snapshot::{RecoveryError, ShardedSnapshot, Snapshot};
 use crate::store::StoreHandle;
 use crate::supervise::{
     PoisonRecord, ShardDriver, ShardHealth, ShardHeartbeat, ShardState, SupervisorPolicy,
@@ -279,8 +279,7 @@ impl ShardedExecutor {
         self
     }
 
-    /// Enables the write-ahead eviction log and boundary checkpoints on
-    /// every shard.
+    /// Enables boundary checkpoints on every shard.
     pub fn with_durability(mut self) -> ShardedExecutor {
         self.config.durable = true;
         self.rebuild();
@@ -651,9 +650,10 @@ impl ShardedExecutor {
         stats
     }
 
-    /// Shard `k`'s durable artifacts (see [`Executor::durable_state`]).
-    pub fn durable_state(&self, k: usize) -> Option<(Snapshot, EvictionLog)> {
-        self.shards[k].durable_state()
+    /// Shard `k`'s last boundary checkpoint (see
+    /// [`Executor::latest_snapshot`]).
+    pub fn latest_snapshot(&self, k: usize) -> Option<&Snapshot> {
+        self.shards[k].latest_snapshot()
     }
 
     /// The deployment-wide checkpoint: every shard's latest boundary
@@ -667,22 +667,21 @@ impl ShardedExecutor {
         Some(ShardedSnapshot { shards })
     }
 
-    /// Recovers crashed shard `k` from its durable artifacts and
+    /// Recovers crashed shard `k` from its boundary checkpoint and
     /// re-feeds it the tail of its partition of `records` (the full
     /// stream the deployment was running when the shard died), from
     /// the snapshot's record high-water mark. The recovered shard is
-    /// then bit-identical to one that never crashed — the exactly-once
-    /// replay rule of [`Executor::recover`], applied per shard.
+    /// then bit-identical to one that never crashed — the replay rule
+    /// of [`Executor::recover`], applied per shard.
     pub fn recover_shard(
         &mut self,
         k: usize,
         snapshot: &Snapshot,
-        log: EvictionLog,
         records: &[Record],
     ) -> Result<(), RecoveryError> {
         let mut cfg = self.shard_config(k);
         cfg.crash = CrashPlan::none();
-        let mut ex = cfg.build().recover(snapshot, log)?;
+        let mut ex = cfg.build().recover(snapshot)?;
         if let Some(store) = self.stores.get(k) {
             ex = ex.with_store(store.clone());
         }
@@ -956,19 +955,7 @@ impl ShardedExecutor {
         self.shards = new_shards;
         self.config.plan = new_plan;
         if fault.crash == Some(SwapCrashPoint::AfterCommit) {
-            for k in 0..self.n {
-                let (snap, log) = self.shards[k]
-                    .durable_state()
-                    .ok_or(SwapError::StaleCheckpoint { shard: k })?;
-                let mut cfg = self.shard_config(k);
-                cfg.crash = CrashPlan::none();
-                self.crashes[k] = CrashPlan::none();
-                let mut ex = cfg.build().recover(&snap, log)?;
-                if let Some(store) = self.stores.get(k) {
-                    ex = ex.with_store(store.clone());
-                }
-                self.shards[k] = ex;
-            }
+            self.recover_all_from_checkpoints()?;
             for hb in &self.heartbeats {
                 hb.publish(ShardState::Healthy);
             }
@@ -986,23 +973,32 @@ impl ShardedExecutor {
         })
     }
 
-    /// Completes a pre-commit crash drill: rebuilds every shard from
-    /// its durable artifacts (the old plan's boundary checkpoint — the
-    /// only state a real crash leaves) and ticks the rollback counter.
-    fn recover_old_after_crash(&mut self, epoch: u64) -> Result<SwapReport, SwapError> {
+    /// Rebuilds every shard from its last boundary checkpoint — the only
+    /// state a real crash leaves — with its crash fuses disarmed and its
+    /// store re-attached.
+    fn recover_all_from_checkpoints(&mut self) -> Result<(), SwapError> {
         for k in 0..self.n {
-            let (snap, log) = self.shards[k]
-                .durable_state()
+            let snap = self.shards[k]
+                .latest_snapshot()
+                .cloned()
                 .ok_or(SwapError::StaleCheckpoint { shard: k })?;
             let mut cfg = self.shard_config(k);
             cfg.crash = CrashPlan::none();
             self.crashes[k] = CrashPlan::none();
-            let mut ex = cfg.build().recover(&snap, log)?;
+            let mut ex = cfg.build().recover(&snap)?;
             if let Some(store) = self.stores.get(k) {
                 ex = ex.with_store(store.clone());
             }
             self.shards[k] = ex;
         }
+        Ok(())
+    }
+
+    /// Completes a pre-commit crash drill: rebuilds every shard from
+    /// the old plan's boundary checkpoint and ticks the rollback
+    /// counter.
+    fn recover_old_after_crash(&mut self, epoch: u64) -> Result<SwapReport, SwapError> {
+        self.recover_all_from_checkpoints()?;
         if let Some(ex) = self.shards.first_mut() {
             ex.note_replan_rolled_back();
             ex.refresh_boundary_checkpoint();

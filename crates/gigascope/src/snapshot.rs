@@ -1,28 +1,25 @@
-//! Epoch-aligned checkpoints and the write-ahead eviction log.
+//! Epoch-aligned checkpoints: the executor's only durable artifact.
 //!
-//! The executor's fault tolerance rests on two durable artifacts:
+//! A [`Snapshot`] is the complete serializable state of the executor at
+//! an **epoch boundary** (every LFTA table's statistics, the channel's
+//! PRNG cursor, the guard ladder, the HFTA's finished results, the full
+//! [`RunReport`], and the record high-water mark). Boundaries are the
+//! natural consistency points of the paper's pipeline: the end-of-epoch
+//! scan drains every table and closes the HFTA epoch, so the only state
+//! that exists is cumulative — no in-flight partials.
 //!
-//! * a [`Snapshot`] — the complete serializable state of the executor at
-//!   an **epoch boundary** (every LFTA table's statistics, the channel's
-//!   PRNG cursor, the guard ladder, the HFTA's finished results, the
-//!   full [`RunReport`], and the record high-water mark). Boundaries are
-//!   the natural consistency points of the paper's pipeline: the
-//!   end-of-epoch scan drains every table and closes the HFTA epoch, so
-//!   the only state that exists is cumulative — no in-flight partials;
-//! * an [`EvictionLog`] — a write-ahead log of every partial aggregate
-//!   delivered on the LFTA → HFTA hop, stamped with a monotone sequence
-//!   number. After a crash, the log suffix past the snapshot replays the
-//!   current epoch's deliveries into the HFTA, and the sequence numbers
-//!   let the resumed record stream be **deduplicated**: the executor
-//!   re-processes records from the snapshot's high-water mark, and any
-//!   delivery whose sequence number is at or below the log's high-water
-//!   mark is suppressed — it already reached the HFTA before the crash.
-//!   Every delivery is therefore applied exactly once, and a recovered
-//!   run is bit-identical to a run that never crashed.
+//! Recovery restores the snapshot and re-feeds the source from
+//! [`Snapshot::records_hwm`]. Execution from a restored boundary is
+//! deterministic (seeded hashes, restored channel PRNG, guard cursors
+//! and table statistics), so the replay regenerates every delivery the
+//! crashed run made in the open epoch, bit for bit, and a recovered run
+//! is bit-identical to one that never crashed. The contract requires a
+//! **replayable source**; a non-replayable one would need a durable log
+//! of input chunks, group-committed per chunk — not of evictions.
 //!
-//! Both artifacts use a versioned binary encoding framed by a magic tag
-//! and guarded by an FNV-1a checksum; torn or corrupted bytes decode to
-//! a typed [`SnapshotError`] instead of garbage state.
+//! The encoding is versioned, framed by a magic tag and guarded by an
+//! FNV-1a checksum; torn or corrupted bytes decode to a typed
+//! [`SnapshotError`] instead of garbage state.
 
 use crate::channel::ChannelState;
 use crate::executor::{RunReport, ValueSource};
@@ -34,7 +31,7 @@ use crate::CostParams;
 use msa_stream::hash::FastMap;
 use msa_stream::{AttrSet, GroupKey, MAX_ATTRS};
 
-/// Current snapshot/log encoding version.
+/// Current snapshot encoding version.
 ///
 /// Version 2 added the degraded-answer ledger section: the report's
 /// shutdown/abandonment/denied-shed counters and breach flag, plus the
@@ -46,13 +43,14 @@ use msa_stream::{AttrSet, GroupKey, MAX_ATTRS};
 /// Version 4 added the durable-store ledger: the report's
 /// `records_stale_lost` counter, so generation-fallback loss survives a
 /// second crash with its accounting intact.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Version 5 dropped the delivery-sequence mark: recovery replays the
+/// source from `records_hwm` and consumes no eviction log.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const SNAPSHOT_MAGIC: [u8; 4] = *b"MSNP";
-const LOG_MAGIC: [u8; 4] = *b"MSWL";
 const SHARDED_MAGIC: [u8; 4] = *b"MSSH";
 
-/// Failure decoding (or capturing) a snapshot or eviction log.
+/// Failure decoding (or capturing) a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The buffer does not start with the expected magic tag.
@@ -99,7 +97,7 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Failure recovering an executor from a snapshot + log pair.
+/// Failure recovering an executor from a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryError {
     /// The snapshot was taken under a different plan/seed/epoch/cost
@@ -110,39 +108,6 @@ pub enum RecoveryError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
-    /// The log suffix is not contiguous from the snapshot's sequence
-    /// high-water mark.
-    LogGap {
-        /// Sequence number the replay expected next.
-        expected: u64,
-        /// Sequence number actually found.
-        found: u64,
-    },
-    /// A log-suffix entry belongs to a different epoch than the
-    /// snapshot's open epoch — the artifacts are from different runs.
-    LogEpochMismatch {
-        /// The snapshot's open epoch.
-        snapshot_epoch: u64,
-        /// The offending entry's epoch.
-        entry_epoch: u64,
-        /// The offending entry's sequence number.
-        seq: u64,
-    },
-    /// The log's high-water mark is behind the snapshot's — deliveries
-    /// the snapshot accounts for were never made durable.
-    LogBehindSnapshot {
-        /// Sequence high-water mark recorded in the snapshot.
-        snapshot_seq: u64,
-        /// Last sequence number present in the log.
-        log_seq: u64,
-    },
-    /// A log entry names a query slot the plan does not have.
-    QueryOutOfRange {
-        /// The offending slot.
-        slot: u32,
-        /// Number of query slots in the plan.
-        queries: usize,
-    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -152,199 +117,17 @@ impl std::fmt::Display for RecoveryError {
                 f,
                 "snapshot belongs to a different configuration: fingerprint {found:#018x}, executor has {expected:#018x}"
             ),
-            RecoveryError::LogGap { expected, found } => {
-                write!(f, "eviction log gap: expected seq {expected}, found {found}")
-            }
-            RecoveryError::LogEpochMismatch {
-                snapshot_epoch,
-                entry_epoch,
-                seq,
-            } => write!(
-                f,
-                "log entry seq {seq} is from epoch {entry_epoch}, snapshot is at epoch {snapshot_epoch}"
-            ),
-            RecoveryError::LogBehindSnapshot {
-                snapshot_seq,
-                log_seq,
-            } => write!(
-                f,
-                "eviction log ends at seq {log_seq}, behind the snapshot's seq {snapshot_seq}"
-            ),
-            RecoveryError::QueryOutOfRange { slot, queries } => {
-                write!(f, "log entry targets query slot {slot}, plan has {queries}")
-            }
         }
     }
 }
 
 impl std::error::Error for RecoveryError {}
 
-/// One write-ahead log record: a partial aggregate delivered to the
-/// HFTA, with enough context to replay it exactly once.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LogEntry {
-    /// Epoch the delivery belongs to (the epoch being accumulated, or —
-    /// during a flush — the epoch being closed).
-    pub epoch: u64,
-    /// Monotone delivery sequence number (1-based; 0 means "nothing
-    /// delivered yet").
-    pub seq: u64,
-    /// HFTA query slot the partial targets.
-    pub slot: u32,
-    /// Number of copies the channel delivered (2 for a duplication
-    /// fault) — replay re-applies the fault faithfully.
-    pub copies: u8,
-    /// The group.
-    pub key: GroupKey,
-    /// The partial aggregate.
-    pub agg: AggState,
-}
-
-/// The write-ahead eviction log: every LFTA → HFTA delivery, in order.
-///
-/// The executor appends an entry *before* the HFTA applies it (write-
-/// ahead), so after a crash the log is a superset of what the HFTA saw
-/// and replaying the suffix reconstructs the open epoch exactly.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct EvictionLog {
-    entries: Vec<LogEntry>,
-}
-
-impl EvictionLog {
-    /// An empty log.
-    pub fn new() -> EvictionLog {
-        EvictionLog::default()
-    }
-
-    /// Rebuilds a log from raw entries (decoder and test harnesses).
-    pub fn from_entries(entries: Vec<LogEntry>) -> EvictionLog {
-        EvictionLog { entries }
-    }
-
-    /// Appends one delivery record.
-    pub fn append(&mut self, entry: LogEntry) {
-        debug_assert!(
-            entry.seq > self.last_seq(),
-            "log sequence numbers must be monotone"
-        );
-        self.entries.push(entry);
-    }
-
-    /// All entries, oldest first.
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing was ever delivered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The highest sequence number present (0 for an empty log).
-    pub fn last_seq(&self) -> u64 {
-        self.entries.last().map_or(0, |e| e.seq)
-    }
-
-    /// Entries with a sequence number strictly greater than `seq` — the
-    /// replay suffix past a snapshot's high-water mark.
-    pub fn suffix(&self, seq: u64) -> impl Iterator<Item = &LogEntry> {
-        // Entries are monotone, so the suffix is contiguous at the end.
-        let start = self.entries.partition_point(|e| e.seq <= seq);
-        self.entries.iter().skip(start)
-    }
-
-    /// Serializes the log (versioned, checksummed).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
-        w.u64(self.entries.len() as u64);
-        for e in &self.entries {
-            w.u64(e.epoch);
-            w.u64(e.seq);
-            w.u32(e.slot);
-            w.u8(e.copies);
-            w.key(e.key);
-            w.agg(e.agg);
-        }
-        frame(LOG_MAGIC, w)
-    }
-
-    /// Deserializes a log, validating magic, version and checksum.
-    #[must_use = "a decoded log must be inspected or replayed; dropping it hides corruption"]
-    pub fn decode(bytes: &[u8]) -> Result<EvictionLog, SnapshotError> {
-        let mut r = unframe(LOG_MAGIC, bytes)?;
-        let n = r.u64()?;
-        let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
-        let mut last_seq = 0u64;
-        for _ in 0..n {
-            let entry = LogEntry {
-                epoch: r.u64()?,
-                seq: r.u64()?,
-                slot: r.u32()?,
-                copies: r.u8()?,
-                key: r.key()?,
-                agg: r.agg()?,
-            };
-            if entry.seq <= last_seq {
-                return Err(SnapshotError::Malformed("log sequence not monotone"));
-            }
-            if entry.copies == 0 {
-                return Err(SnapshotError::Malformed("log entry with zero copies"));
-            }
-            last_seq = entry.seq;
-            entries.push(entry);
-        }
-        r.done()?;
-        Ok(EvictionLog { entries })
-    }
-}
-
-/// Encodes one WAL entry payload (unframed — the checkpoint store
-/// wraps it in its own per-entry length + checksum frame so torn tails
-/// are detectable entry-by-entry).
-pub(crate) fn encode_log_entry(e: &LogEntry) -> Vec<u8> {
-    let mut w = ByteWriter::default();
-    w.u64(e.epoch);
-    w.u64(e.seq);
-    w.u32(e.slot);
-    w.u8(e.copies);
-    w.key(e.key);
-    w.agg(e.agg);
-    w.buf
-}
-
-/// Decodes one WAL entry payload; the inverse of [`encode_log_entry`].
-#[must_use = "a decode failure is a torn or corrupt WAL frame the caller must repair"]
-pub(crate) fn decode_log_entry(bytes: &[u8]) -> Result<LogEntry, SnapshotError> {
-    let mut r = ByteReader {
-        data: bytes,
-        pos: 0,
-    };
-    let entry = LogEntry {
-        epoch: r.u64()?,
-        seq: r.u64()?,
-        slot: r.u32()?,
-        copies: r.u8()?,
-        key: r.key()?,
-        agg: r.agg()?,
-    };
-    if entry.copies == 0 {
-        return Err(SnapshotError::Malformed("log entry with zero copies"));
-    }
-    r.done()?;
-    Ok(entry)
-}
-
 /// The complete executor state at an epoch boundary.
 ///
 /// Everything needed to resume the run bit-exactly: restore this state
-/// into a freshly built executor (same plan, seed, epoch length, costs),
-/// replay the [`EvictionLog`] suffix, and re-feed the record stream from
-/// [`Snapshot::records_hwm`].
+/// into a freshly built executor (same plan, seed, epoch length, costs)
+/// and re-feed the record stream from [`Snapshot::records_hwm`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
     /// Fingerprint of the configuration (plan shape, hash seed, epoch
@@ -353,8 +136,6 @@ pub struct Snapshot {
     pub plan_fingerprint: u64,
     /// The epoch open at capture time (all earlier epochs are closed).
     pub epoch: u64,
-    /// Delivery-sequence high-water mark at capture.
-    pub seq: u64,
     /// Records processed at capture — the resume index into the stream.
     pub records_hwm: u64,
     /// Eviction-channel state (PRNG cursor, capacity budget, stats).
@@ -384,7 +165,6 @@ impl Snapshot {
         let mut w = ByteWriter::default();
         w.u64(self.plan_fingerprint);
         w.u64(self.epoch);
-        w.u64(self.seq);
         w.u64(self.records_hwm);
         // Channel.
         w.f64(self.channel.faults.loss_rate);
@@ -496,7 +276,6 @@ impl Snapshot {
         let mut r = unframe(SNAPSHOT_MAGIC, bytes)?;
         let plan_fingerprint = r.u64()?;
         let epoch = r.u64()?;
-        let seq = r.u64()?;
         let records_hwm = r.u64()?;
         let channel = ChannelState {
             faults: crate::channel::ChannelFaults {
@@ -641,7 +420,6 @@ impl Snapshot {
         Ok(Snapshot {
             plan_fingerprint,
             epoch,
-            seq,
             records_hwm,
             channel,
             guard,
@@ -737,7 +515,7 @@ pub fn plan_fingerprint(
 
 /// FNV-1a over the payload — fast, dependency-free, and plenty for
 /// detecting torn writes and bit rot (not an integrity MAC). Shared
-/// with the checkpoint store's manifest and WAL-entry frames.
+/// with the checkpoint store's manifest frames.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -1008,26 +786,6 @@ mod tests {
     use super::*;
     use crate::channel::{ChannelFaults, ChannelStats};
 
-    fn sample_log() -> EvictionLog {
-        let mut log = EvictionLog::new();
-        for seq in 1..=50u64 {
-            log.append(LogEntry {
-                epoch: seq / 10,
-                seq,
-                slot: (seq % 3) as u32,
-                copies: if seq % 7 == 0 { 2 } else { 1 },
-                key: GroupKey::from_values(&[seq as u32, 2 * seq as u32]),
-                agg: AggState {
-                    count: seq,
-                    sum: seq * 3,
-                    min: 1,
-                    max: seq as u32,
-                },
-            });
-        }
-        log
-    }
-
     fn sample_snapshot() -> Snapshot {
         let a = AttrSet::parse("A").unwrap();
         let mut aggregates = FastMap::default();
@@ -1043,7 +801,6 @@ mod tests {
         Snapshot {
             plan_fingerprint: 0xDEAD_BEEF,
             epoch: 3,
-            seq: 17,
             records_hwm: 1234,
             channel: ChannelState {
                 faults: ChannelFaults {
@@ -1142,17 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn log_roundtrip_is_lossless() {
-        let log = sample_log();
-        let back = EvictionLog::decode(&log.encode()).unwrap();
-        assert_eq!(back, log);
-        assert_eq!(back.last_seq(), 50);
-        assert_eq!(back.suffix(45).count(), 5);
-        assert_eq!(back.suffix(0).count(), 50);
-        assert_eq!(back.suffix(50).count(), 0);
-    }
-
-    #[test]
     fn corrupted_bytes_are_rejected_with_typed_errors() {
         let snap = sample_snapshot();
         let good = snap.encode();
@@ -1185,26 +931,13 @@ mod tests {
             Snapshot::decode(&wrong_version),
             Err(SnapshotError::UnsupportedVersion(99))
         );
-        // A log buffer is not a snapshot buffer.
+        // A sharded checkpoint buffer is not a snapshot buffer.
+        let sharded = ShardedSnapshot {
+            shards: vec![snap.clone()],
+        };
         assert_eq!(
-            Snapshot::decode(&sample_log().encode()),
+            Snapshot::decode(&sharded.encode()),
             Err(SnapshotError::BadMagic)
-        );
-    }
-
-    #[test]
-    fn corrupted_log_is_rejected() {
-        let good = sample_log().encode();
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        assert!(matches!(
-            EvictionLog::decode(&bad),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
-        assert_eq!(
-            EvictionLog::decode(&good[..good.len() - 1]),
-            Err(SnapshotError::Truncated)
         );
     }
 
@@ -1291,7 +1024,6 @@ mod tests {
     #[test]
     fn sharded_snapshot_roundtrip_is_lossless() {
         let mut shard1 = sample_snapshot();
-        shard1.seq = 99;
         shard1.records_hwm = 4321;
         let sharded = ShardedSnapshot {
             shards: vec![sample_snapshot(), shard1],
@@ -1333,16 +1065,5 @@ mod tests {
             ShardedSnapshot::decode(&wrong_version),
             Err(SnapshotError::UnsupportedVersion(77))
         );
-    }
-
-    #[test]
-    fn empty_log_suffix_and_high_water() {
-        let log = EvictionLog::new();
-        assert!(log.is_empty());
-        assert_eq!(log.len(), 0);
-        assert_eq!(log.last_seq(), 0);
-        assert_eq!(log.suffix(0).count(), 0);
-        let back = EvictionLog::decode(&log.encode()).unwrap();
-        assert_eq!(back, log);
     }
 }

@@ -1,27 +1,24 @@
 //! The generational checkpoint store: crash-safe durability for the
-//! recovery artifacts.
+//! recovery artifact.
 //!
-//! Everything `snapshot` and `executor` treat as "durable" — the
-//! epoch-boundary [`Snapshot`] and the write-ahead [`EvictionLog`] —
-//! lands here as real bytes behind a
+//! The one thing `executor` treats as durable — the epoch-boundary
+//! [`Snapshot`] — lands here as real bytes behind a
 //! [`StorageBackend`](msa_stream::store::StorageBackend). The layout:
 //!
 //! ```text
 //! manifest.a            A/B manifest slots ("MSMF" + fnv64 trailer):
 //! manifest.b            the *commit point*; highest valid seq wins
 //! gen-3/snapshot.bin    one framed snapshot per generation
-//! gen-3/wal-0.bin       segmented WAL: per-entry [len u32 | fnv u64 |
-//! gen-3/wal-1.bin       payload] frames, rolled every 256 entries
-//! gen-4/...
+//! gen-4/snapshot.bin
 //! ```
 //!
 //! A **commit** writes the next generation's snapshot atomically, then
 //! flips the *older* manifest slot to point at it — the last good
 //! generation is never overwritten, so a crash at any byte leaves a
-//! readable store. WAL entries append into the *committed* generation's
-//! segments (each entry framed and checksummed) and fsync per entry;
-//! a crash mid-append leaves a *torn tail* that recovery detects by
-//! checksum, truncates away, and re-derives from stream replay.
+//! readable store. Nothing is written between commits: a crash
+//! mid-epoch loses only the open epoch, and recovery regenerates it by
+//! replaying the (replayable) source from the snapshot's record
+//! high-water mark.
 //!
 //! **Recovery** walks candidates newest-first: manifest-committed
 //! generations by descending manifest seq, then any orphaned on-disk
@@ -33,11 +30,12 @@
 //!
 //! Transient EIO is retried with an attempt-counted budget (never
 //! clocked — the repo's determinism spine); ENOSPC and crashes are not.
-//! The **scrub** pass re-verifies every checksum offline and
-//! quarantines corrupt generations without touching good ones.
+//! The **scrub** pass re-verifies every manifest and snapshot checksum
+//! offline and quarantines corrupt generations without touching good
+//! ones.
 
 use crate::executor::{Executor, ExecutorConfig};
-use crate::snapshot::{decode_log_entry, encode_log_entry, fnv64, EvictionLog, LogEntry, Snapshot};
+use crate::snapshot::{fnv64, Snapshot};
 use msa_stream::store::{
     DiskBackend, SimBackend, StorageBackend, StorageFaultPlan, StoreError, StoreErrorKind,
 };
@@ -50,14 +48,6 @@ const MANIFEST_MAGIC: [u8; 4] = *b"MSMF";
 const MANIFEST_VERSION: u32 = 1;
 /// payload = magic + version + 4 × u64; trailer = fnv64(payload).
 const MANIFEST_LEN: usize = 4 + 4 + 8 * 4 + 8;
-
-/// WAL frame header: payload length (u32) + payload fnv64.
-const WAL_FRAME_HEADER: usize = 4 + 8;
-/// Entries per WAL segment before rolling to the next file.
-const WAL_SEGMENT_ENTRIES: u64 = 256;
-/// Upper bound on a sane WAL payload — a larger length field is
-/// corruption, not data (prevents pathological allocations).
-const WAL_MAX_PAYLOAD: u32 = 1 << 20;
 
 /// Transient-EIO retries per store operation before giving up.
 const DEFAULT_RETRY_BUDGET: u32 = 8;
@@ -136,10 +126,6 @@ impl Manifest {
 pub struct StoreStats {
     /// Generations committed (manifest flips).
     pub commits: u64,
-    /// WAL entries appended durably.
-    pub wal_appends: u64,
-    /// WAL segment files rolled.
-    pub wal_segments_rolled: u64,
     /// Transient-EIO retries that were attempted.
     pub io_retries: u64,
     /// Operations abandoned after the retry budget ran dry.
@@ -154,20 +140,16 @@ pub struct StoreStats {
 }
 
 /// What [`CheckpointStore::recover_artifacts`] hands back: the newest
-/// readable generation's artifacts, ready for
+/// readable generation's snapshot, ready for
 /// [`Executor::recover`](crate::executor::Executor::recover).
 #[derive(Clone, Debug)]
 pub struct RecoveredArtifacts {
     /// The decoded, checksum-verified snapshot.
     pub snapshot: Snapshot,
-    /// The generation's WAL after torn-tail repair.
-    pub log: EvictionLog,
     /// Which generation was recovered.
     pub generation: u64,
     /// Newer generations skipped (and quarantined) to reach this one.
     pub fallbacks: u64,
-    /// WAL entries dropped by torn-tail truncation repair.
-    pub torn_entries_dropped: u64,
 }
 
 /// Result of the offline integrity scrub.
@@ -179,10 +161,6 @@ pub struct ScrubReport {
     pub generations_checked: u64,
     /// Generations whose snapshot failed verification (now quarantined).
     pub generations_quarantined: Vec<u64>,
-    /// WAL entries whose checksums verified.
-    pub wal_entries_checked: u64,
-    /// Torn (checksum-failing) WAL tails found.
-    pub torn_tails: u64,
 }
 
 /// Why a recovery candidate could not be loaded.
@@ -206,16 +184,12 @@ pub struct CheckpointStore {
     retry_budget: u32,
     /// Highest valid manifest sequence seen (0 = no commit yet).
     manifest_seq: u64,
-    /// The active generation WAL appends target (0 = none committed).
+    /// The newest committed or recovered generation (0 = none).
     generation: u64,
     /// The generation the next commit creates: strictly above every
     /// generation ever seen, so fallback never re-enters a quarantined
     /// directory.
     next_generation: u64,
-    /// Current WAL segment index within the active generation.
-    wal_segment: u64,
-    /// Entries appended to the current segment so far.
-    wal_entries: u64,
     /// Generations proven corrupt this process lifetime. In-memory by
     /// design: quarantine is re-derived after a restart, exactly like a
     /// real fsck.
@@ -233,8 +207,6 @@ impl CheckpointStore {
             manifest_seq: 0,
             generation: 0,
             next_generation: 1,
-            wal_segment: 0,
-            wal_entries: 0,
             quarantined: Vec::new(),
             stats: StoreStats::default(),
         };
@@ -254,8 +226,6 @@ impl CheckpointStore {
     fn rescan(&mut self) -> Result<(), StoreError> {
         self.manifest_seq = 0;
         self.generation = 0;
-        self.wal_segment = 0;
-        self.wal_entries = 0;
         self.quarantined.clear();
         if let Some(m) = self.best_manifest() {
             self.manifest_seq = m.manifest_seq;
@@ -268,9 +238,6 @@ impl CheckpointStore {
             .unwrap_or(0)
             .max(self.generation);
         self.next_generation = max_gen + 1;
-        if self.generation > 0 {
-            self.start_fresh_segment(self.generation)?;
-        }
         Ok(())
     }
 
@@ -298,18 +265,6 @@ impl CheckpointStore {
         Ok(names.iter().filter_map(|n| parse_gen(n)).collect())
     }
 
-    /// Points the WAL cursor at a fresh segment past everything already
-    /// in `gen` (append-only: reopened stores never extend an old
-    /// segment whose entry count they cannot know).
-    fn start_fresh_segment(&mut self, gen: u64) -> Result<(), StoreError> {
-        let dir = format!("gen-{gen}");
-        let names = self.backend.list(&dir)?;
-        let max_seg = names.iter().filter_map(|n| parse_wal(n)).max();
-        self.wal_segment = max_seg.map_or(0, |k| k + 1);
-        self.wal_entries = 0;
-        Ok(())
-    }
-
     /// Runs `op` with the attempt-counted transient-EIO retry loop.
     fn retrying<T>(
         &mut self,
@@ -335,8 +290,7 @@ impl CheckpointStore {
 
     /// Commits `snapshot` as a new generation: atomic snapshot write,
     /// then the manifest flip (the commit point), then GC of everything
-    /// older than the previous generation. On success WAL appends
-    /// target the new generation.
+    /// older than the previous generation.
     pub fn commit(&mut self, snapshot: &Snapshot) -> Result<(), StoreError> {
         let bytes = snapshot.encode();
         let gen = self.next_generation;
@@ -355,8 +309,6 @@ impl CheckpointStore {
         self.manifest_seq = manifest.manifest_seq;
         self.generation = gen;
         self.next_generation = gen + 1;
-        self.wal_segment = 0;
-        self.wal_entries = 0;
         self.stats.commits += 1;
         self.gc(prev, gen);
         Ok(())
@@ -379,37 +331,11 @@ impl CheckpointStore {
             };
             for f in files {
                 let path = format!("{dir}/{f}");
-                let _ = self.backend.remove(&path);
+                let _ = self.retrying(|b| b.remove(&path));
             }
             self.quarantined.retain(|&q| q != g);
             self.stats.generations_removed += 1;
         }
-    }
-
-    /// Appends one WAL entry durably (framed, checksummed, fsynced)
-    /// into the active generation. A no-op before the first commit —
-    /// every durable WAL entry belongs to a committed generation, and
-    /// the executor commits a genesis checkpoint before record one.
-    pub fn append_entry(&mut self, entry: &LogEntry) -> Result<(), StoreError> {
-        if self.generation == 0 {
-            return Ok(());
-        }
-        if self.wal_entries >= WAL_SEGMENT_ENTRIES {
-            self.wal_segment += 1;
-            self.wal_entries = 0;
-            self.stats.wal_segments_rolled += 1;
-        }
-        let path = format!("gen-{}/wal-{}.bin", self.generation, self.wal_segment);
-        let payload = encode_log_entry(entry);
-        let mut frame = Vec::with_capacity(WAL_FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.retrying(|b| b.append(&path, &frame))?;
-        self.retrying(|b| b.sync(&path))?;
-        self.wal_entries += 1;
-        self.stats.wal_appends += 1;
-        Ok(())
     }
 
     /// Marks `generation` corrupt: recovery and scrub skip it until it
@@ -421,7 +347,8 @@ impl CheckpointStore {
         }
     }
 
-    /// The active generation (0 before the first commit).
+    /// The newest committed or recovered generation (0 before the
+    /// first commit).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -431,11 +358,9 @@ impl CheckpointStore {
         self.stats
     }
 
-    /// Loads the newest readable generation's artifacts, quarantining
+    /// Loads the newest readable generation's snapshot, quarantining
     /// unreadable candidates and falling back to older ones. `None`
-    /// when no generation is readable (fresh start). WAL torn tails are
-    /// truncated away on the backend (the repair), so a second recovery
-    /// sees identical artifacts.
+    /// when no generation is readable (fresh start).
     pub fn recover_artifacts(&mut self) -> Result<Option<RecoveredArtifacts>, StoreError> {
         let manifests = self.read_manifests();
         let mut candidates: Vec<(u64, Option<Manifest>)> =
@@ -453,15 +378,12 @@ impl CheckpointStore {
                 continue;
             }
             match self.try_load(gen, manifest.as_ref()) {
-                Ok((snapshot, log, torn_entries_dropped)) => {
+                Ok(snapshot) => {
                     self.generation = gen;
-                    self.start_fresh_segment(gen)?;
                     return Ok(Some(RecoveredArtifacts {
                         snapshot,
-                        log,
                         generation: gen,
                         fallbacks,
-                        torn_entries_dropped,
                     }));
                 }
                 Err(LoadFail::Dead(e)) => return Err(e),
@@ -477,130 +399,26 @@ impl CheckpointStore {
 
     /// Loads and verifies one generation: snapshot bytes against the
     /// manifest checksum (when a manifest names it), then the codec's
-    /// own frame, then the WAL chain with torn-tail repair.
-    fn try_load(
-        &mut self,
-        gen: u64,
-        manifest: Option<&Manifest>,
-    ) -> Result<(Snapshot, EvictionLog, u64), LoadFail> {
+    /// own frame.
+    fn try_load(&mut self, gen: u64, manifest: Option<&Manifest>) -> Result<Snapshot, LoadFail> {
         let snap_path = format!("gen-{gen}/snapshot.bin");
-        let bytes = self.read_artifact(&snap_path)?;
+        let bytes = match self.retrying(|b| b.read(&snap_path)) {
+            Ok(bytes) => bytes,
+            // A dead backend is not a corrupt generation: propagate.
+            Err(e) if e.kind == StoreErrorKind::Crashed => return Err(LoadFail::Dead(e)),
+            Err(_) => return Err(LoadFail::Corrupt),
+        };
         if let Some(m) = manifest {
             if bytes.len() as u64 != m.snapshot_len || fnv64(&bytes) != m.snapshot_fnv {
                 return Err(LoadFail::Corrupt);
             }
         }
-        let snapshot = Snapshot::decode(&bytes).map_err(|_| LoadFail::Corrupt)?;
-        let (entries, torn) = self.load_wal(gen, &snapshot)?;
-        Ok((snapshot, EvictionLog::from_entries(entries), torn))
+        Snapshot::decode(&bytes).map_err(|_| LoadFail::Corrupt)
     }
 
-    /// Reads one artifact, distinguishing "this artifact is gone"
-    /// (fall back) from "the backend is dead" (propagate).
-    fn read_artifact(&mut self, path: &str) -> Result<Vec<u8>, LoadFail> {
-        let owned = path.to_string();
-        match self.retrying(|b| b.read(&owned)) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind == StoreErrorKind::Crashed => Err(LoadFail::Dead(e)),
-            Err(_) => Err(LoadFail::Corrupt),
-        }
-    }
-
-    /// Decodes `gen`'s WAL segments in order, enforcing the contiguous
-    /// sequence chain from the snapshot's high-water mark. The first
-    /// invalid frame (bad length, checksum, codec, or sequence) is a
-    /// torn tail: the segment is truncated to the valid prefix, later
-    /// segments are removed, and the dropped entries are re-derived
-    /// from stream replay. Returns `(entries, entries_dropped)`.
-    fn load_wal(
-        &mut self,
-        gen: u64,
-        snapshot: &Snapshot,
-    ) -> Result<(Vec<LogEntry>, u64), LoadFail> {
-        let dir = format!("gen-{gen}");
-        let names = match self.backend.list(&dir) {
-            Ok(names) => names,
-            Err(e) if e.kind == StoreErrorKind::Crashed => return Err(LoadFail::Dead(e)),
-            Err(_) => Vec::new(),
-        };
-        let mut segs: Vec<u64> = names.iter().filter_map(|n| parse_wal(n)).collect();
-        segs.sort_unstable();
-        let mut entries: Vec<LogEntry> = Vec::new();
-        let mut dropped = 0u64;
-        let mut expected_seq = snapshot.seq;
-        let mut halted = false;
-        for k in segs {
-            let path = format!("{dir}/wal-{k}.bin");
-            if halted {
-                // Past the torn point: the chain is broken, so every
-                // later entry is unreachable. Count and remove them.
-                dropped += self.count_frames(&path)?;
-                let owned = path.clone();
-                let _ = self.retrying(|b| b.remove(&owned));
-                continue;
-            }
-            let bytes = match self.read_artifact(&path) {
-                Ok(b) => b,
-                Err(LoadFail::Dead(e)) => return Err(LoadFail::Dead(e)),
-                Err(LoadFail::Corrupt) => {
-                    halted = true;
-                    continue;
-                }
-            };
-            let mut pos = 0usize;
-            while pos < bytes.len() {
-                let entry = match decode_frame(&bytes[pos..]) {
-                    Some((entry, frame_len)) if entry.seq == expected_seq + 1 => {
-                        pos += frame_len;
-                        entry
-                    }
-                    _ => {
-                        // Torn tail: truncate the file to the valid
-                        // prefix so the repaired store is bit-stable.
-                        dropped += 1;
-                        halted = true;
-                        let owned = path.clone();
-                        let _ = self.retrying(|b| b.truncate(&owned, pos));
-                        break;
-                    }
-                };
-                expected_seq = entry.seq;
-                entries.push(entry);
-            }
-        }
-        Ok((entries, dropped))
-    }
-
-    /// Counts the (well-formed) frames in an orphaned segment so the
-    /// repair can report how many entries it dropped. Unreadable or
-    /// garbage bytes count as one torn frame.
-    fn count_frames(&mut self, path: &str) -> Result<u64, LoadFail> {
-        let bytes = match self.read_artifact(path) {
-            Ok(b) => b,
-            Err(LoadFail::Dead(e)) => return Err(LoadFail::Dead(e)),
-            Err(LoadFail::Corrupt) => return Ok(1),
-        };
-        let mut n = 0u64;
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            match decode_frame(&bytes[pos..]) {
-                Some((_, frame_len)) => {
-                    n += 1;
-                    pos += frame_len;
-                }
-                None => {
-                    n += 1;
-                    break;
-                }
-            }
-        }
-        Ok(n)
-    }
-
-    /// Offline integrity pass: re-verifies every manifest, snapshot and
-    /// WAL frame checksum, quarantining generations whose snapshot
-    /// fails. Read-only apart from the quarantine list — repair belongs
-    /// to [`CheckpointStore::recover_artifacts`].
+    /// Offline integrity pass: re-verifies every manifest and snapshot
+    /// checksum, quarantining generations whose snapshot fails.
+    /// Read-only apart from the quarantine list.
     pub fn scrub(&mut self) -> Result<ScrubReport, StoreError> {
         let mut report = ScrubReport::default();
         for (i, slot) in [MANIFEST_A, MANIFEST_B].into_iter().enumerate() {
@@ -627,31 +445,6 @@ impl CheckpointStore {
             if !snap_ok {
                 self.quarantine(g);
                 report.generations_quarantined.push(g);
-                continue;
-            }
-            let dir = format!("gen-{g}");
-            let names = self.backend.list(&dir).unwrap_or_default();
-            let mut segs: Vec<u64> = names.iter().filter_map(|n| parse_wal(n)).collect();
-            segs.sort_unstable();
-            for k in segs {
-                let path = format!("{dir}/wal-{k}.bin");
-                let Ok(bytes) = self.backend.read(&path) else {
-                    report.torn_tails += 1;
-                    continue;
-                };
-                let mut pos = 0usize;
-                while pos < bytes.len() {
-                    match decode_frame(&bytes[pos..]) {
-                        Some((_, frame_len)) => {
-                            report.wal_entries_checked += 1;
-                            pos += frame_len;
-                        }
-                        None => {
-                            report.torn_tails += 1;
-                            break;
-                        }
-                    }
-                }
             }
         }
         Ok(report)
@@ -661,35 +454,6 @@ impl CheckpointStore {
 /// Parses `gen-N` directory names.
 fn parse_gen(name: &str) -> Option<u64> {
     name.strip_prefix("gen-")?.parse().ok()
-}
-
-/// Parses `wal-K.bin` segment names.
-fn parse_wal(name: &str) -> Option<u64> {
-    name.strip_prefix("wal-")?
-        .strip_suffix(".bin")?
-        .parse()
-        .ok()
-}
-
-/// Decodes one WAL frame at the head of `bytes`; `None` on any
-/// violation (short header, insane length, checksum or codec failure).
-/// Returns the entry and the total frame length consumed.
-fn decode_frame(bytes: &[u8]) -> Option<(LogEntry, usize)> {
-    if bytes.len() < WAL_FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().ok()?);
-    if len > WAL_MAX_PAYLOAD {
-        return None;
-    }
-    let sum = u64::from_le_bytes(bytes[4..12].try_into().ok()?);
-    let end = WAL_FRAME_HEADER.checked_add(len as usize)?;
-    let payload = bytes.get(WAL_FRAME_HEADER..end)?;
-    if fnv64(payload) != sum {
-        return None;
-    }
-    let entry = decode_log_entry(payload).ok()?;
-    Some((entry, end))
 }
 
 /// Result of a store-backed executor recovery (see
@@ -709,8 +473,6 @@ pub struct StoreRecovery {
     /// back past the newest generation, and any replay shortfall must
     /// be accounted as stale-fallback loss.
     pub fallbacks: u64,
-    /// WAL entries dropped by torn-tail repair (re-derived from replay).
-    pub torn_entries_dropped: u64,
 }
 
 /// A cloneable, thread-safe handle to one [`CheckpointStore`] — what
@@ -759,11 +521,6 @@ impl StoreHandle {
         self.lock().commit(snapshot)
     }
 
-    /// See [`CheckpointStore::append_entry`].
-    pub fn append_entry(&self, entry: &LogEntry) -> Result<(), StoreError> {
-        self.lock().append_entry(entry)
-    }
-
     /// See [`CheckpointStore::recover_artifacts`].
     pub fn recover_artifacts(&self) -> Result<Option<RecoveredArtifacts>, StoreError> {
         self.lock().recover_artifacts()
@@ -808,49 +565,44 @@ impl StoreHandle {
 
     /// Recovers an executor from the newest usable generation.
     ///
-    /// Drives the full degradation ladder: load artifacts (falling back
-    /// past unreadable generations), validate them against `cfg` via
-    /// [`Executor::recover`], and quarantine-and-retry when validation
-    /// rejects a candidate (e.g. a lying fsync left the WAL behind the
-    /// snapshot). The returned executor has this store re-attached;
-    /// `executor: None` means nothing was recoverable and the caller
-    /// starts fresh. Either way the outcome is one of the two permitted
-    /// ends: bit-identical recovery (given replay from `records_hwm`)
-    /// or explicit, accounted fallback — never silent corruption.
+    /// Drives the full degradation ladder: load the newest readable
+    /// snapshot (falling back past unreadable generations), validate it
+    /// against `cfg` via [`Executor::recover`], and quarantine-and-retry
+    /// when validation rejects a candidate (a snapshot taken under a
+    /// different configuration). The returned executor has this store
+    /// re-attached; `executor: None` means nothing was recoverable and
+    /// the caller starts fresh. Either way the outcome is one of the two
+    /// permitted ends: bit-identical recovery (given replay from
+    /// `records_hwm`) or explicit, accounted fallback — never silent
+    /// corruption.
     pub fn recover_executor(&self, cfg: &ExecutorConfig) -> StoreRecovery {
         let start_fallbacks = self.stats().fallbacks;
-        let mut torn = 0u64;
         loop {
             // Bind before matching: a guard living in the scrutinee
             // would still be held when the arms re-lock the handle.
             let loaded = self.lock().recover_artifacts();
             match loaded {
-                Ok(Some(artifacts)) => {
-                    torn += artifacts.torn_entries_dropped;
-                    match cfg.build().recover(&artifacts.snapshot, artifacts.log) {
-                        Ok(ex) => {
-                            return StoreRecovery {
-                                records_hwm: artifacts.snapshot.records_hwm,
-                                generation: artifacts.generation,
-                                executor: Some(ex.with_store(self.clone())),
-                                fallbacks: self.stats().fallbacks - start_fallbacks,
-                                torn_entries_dropped: torn,
-                            };
-                        }
-                        Err(_) => {
-                            let mut store = self.lock();
-                            store.quarantine(artifacts.generation);
-                            store.stats.fallbacks += 1;
-                        }
+                Ok(Some(artifacts)) => match cfg.build().recover(&artifacts.snapshot) {
+                    Ok(ex) => {
+                        return StoreRecovery {
+                            records_hwm: artifacts.snapshot.records_hwm,
+                            generation: artifacts.generation,
+                            executor: Some(ex.with_store(self.clone())),
+                            fallbacks: self.stats().fallbacks - start_fallbacks,
+                        };
                     }
-                }
+                    Err(_) => {
+                        let mut store = self.lock();
+                        store.quarantine(artifacts.generation);
+                        store.stats.fallbacks += 1;
+                    }
+                },
                 Ok(None) | Err(_) => {
                     return StoreRecovery {
                         executor: None,
                         generation: 0,
                         records_hwm: 0,
                         fallbacks: self.stats().fallbacks - start_fallbacks,
-                        torn_entries_dropped: torn,
                     };
                 }
             }
@@ -921,6 +673,12 @@ mod tests {
             "GC must keep at most two generations, found {gen_dirs:?}"
         );
         assert!(handle.generation() >= 3);
+        // A generation is its snapshot and nothing else: no log or
+        // other per-delivery artifact lands between commits.
+        for dir in gen_dirs {
+            let files = handle.with_backend(|b| b.list(dir).unwrap());
+            assert_eq!(files, vec!["snapshot.bin".to_string()], "{dir}");
+        }
     }
 
     #[test]
@@ -964,36 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_wal_tail_is_truncated_and_repair_is_stable() {
-        let handle = StoreHandle::in_memory().unwrap();
-        run_with_store(&handle, &records(90));
-        let gen = handle.generation();
-        let dir = format!("gen-{gen}");
-        let segs: Vec<String> = handle
-            .with_backend(|b| b.list(&dir).unwrap())
-            .into_iter()
-            .filter(|n| n.starts_with("wal-"))
-            .collect();
-        let Some(seg) = segs.last() else {
-            // No post-commit deliveries: nothing to tear; still a valid
-            // recovery case covered elsewhere.
-            return;
-        };
-        let path = format!("{dir}/{seg}");
-        let len = handle.with_backend(|b| b.read(&path).unwrap().len());
-        handle.with_backend(|b| b.truncate(&path, len - 3)).unwrap();
-        let first = handle.recover_artifacts().unwrap().unwrap();
-        assert!(first.torn_entries_dropped >= 1);
-        // The repair truncated the torn frame: a second recovery sees a
-        // clean store and identical artifacts.
-        let second = handle.recover_artifacts().unwrap().unwrap();
-        assert_eq!(second.torn_entries_dropped, 0);
-        assert_eq!(first.snapshot.encode(), second.snapshot.encode());
-        assert_eq!(first.log, second.log);
-    }
-
-    #[test]
-    fn scrub_quarantines_bit_rot_and_counts_wal_entries() {
+    fn scrub_quarantines_bit_rot() {
         let handle = StoreHandle::in_memory().unwrap();
         run_with_store(&handle, &records(120));
         let clean = handle.scrub().unwrap();

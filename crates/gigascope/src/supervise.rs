@@ -12,11 +12,13 @@
 //!   containment). A caught panic marks the shard *dead* and triggers
 //!   a restart instead of an abort.
 //! * **restart from checkpoint** — a dead or stuck shard is rebuilt
-//!   from its last epoch-aligned snapshot + eviction log
-//!   ([`Executor::recover`]) and its feed is replayed from a bounded
-//!   replay buffer, so the resumed run is bit-identical to a fault-free
-//!   one whenever the buffer still covers the checkpoint's record
-//!   high-water mark (the exactly-once property of PR 2, applied live).
+//!   from its last epoch-aligned snapshot ([`Executor::recover`]) and
+//!   its feed is replayed from a bounded replay buffer, so the resumed
+//!   run is bit-identical to a fault-free one whenever the buffer still
+//!   covers the checkpoint's record high-water mark. Replay is the only
+//!   source of open-epoch state: the snapshot holds nothing past its
+//!   boundary, so a buffer that cannot reach back loses whole records,
+//!   never parts of them.
 //! * **poison quarantine** — a record that deterministically kills its
 //!   shard [`SupervisorPolicy::poison_threshold`] consecutive times is
 //!   quarantined into a typed [`PoisonRecord`] report and counted in
@@ -51,7 +53,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::executor::{Executor, ExecutorConfig};
 use crate::faults::ShardFault;
-use crate::snapshot::EvictionLog;
 use crate::store::StoreHandle;
 use msa_stream::{AttrSet, Record, RecordChunk};
 
@@ -271,7 +272,7 @@ pub(crate) struct ShardDriver {
     heartbeat: std::sync::Arc<ShardHeartbeat>,
     /// The shard's durable store, when one is attached: restarts then
     /// recover from persisted generations (with fallback) instead of
-    /// the executor's in-memory artifacts.
+    /// the executor's in-memory checkpoint.
     store: Option<StoreHandle>,
     queries: Vec<AttrSet>,
     /// Replay buffer holding shard-local records `[buf_start, received)`.
@@ -557,10 +558,10 @@ impl ShardDriver {
         self.restart();
     }
 
-    /// Rebuilds the shard from its latest epoch-aligned snapshot +
-    /// eviction log and rewinds consumption to replay the tail from the
-    /// buffer. Where the buffer no longer reaches the checkpoint, the
-    /// gap is absorbed as explicit degradation instead of aborting.
+    /// Rebuilds the shard from its latest epoch-aligned snapshot and
+    /// rewinds consumption to replay the tail from the buffer. Where the
+    /// buffer no longer reaches the checkpoint, the gap is absorbed as
+    /// explicit degradation instead of aborting.
     fn restart(&mut self) {
         self.heartbeat.publish(ShardState::Restarting);
         self.health.restarts += 1;
@@ -599,58 +600,23 @@ impl ShardDriver {
         let recovery = store.recover_executor(&self.cfg);
         let stale = recovery.fallbacks > 0;
         match recovery.executor {
-            Some(ex) => {
-                let hwm = recovery.records_hwm;
-                if self.buf_start > hwm {
-                    // Same rule as the in-memory path: a gap means the
-                    // recovered WAL's open-epoch suffix would smuggle
-                    // lost records' contributions back in, so re-recover
-                    // the bare boundary state.
-                    let snap = match ex.latest_snapshot() {
-                        Some(snap) => snap.clone(),
-                        None => return (ex, hwm, stale),
-                    };
-                    match self.cfg.build().recover(&snap, EvictionLog::new()) {
-                        Ok(bare) => (bare.with_store(store), hwm, stale),
-                        Err(_) => (ex, hwm, stale),
-                    }
-                } else {
-                    (ex, hwm, stale)
-                }
-            }
+            Some(ex) => (ex, recovery.records_hwm, stale),
             // Nothing durable was readable: start fresh with the store
             // re-attached so a genesis checkpoint re-seeds durability.
             None => (self.cfg.build().with_store(store), 0, stale),
         }
     }
 
-    /// Legacy in-memory restart from the dead executor's own artifacts.
+    /// In-memory restart from the dead executor's last checkpoint.
     fn restart_in_memory(&self) -> (Executor, u64) {
-        match self.ex.durable_state() {
-            Some((snap, log)) => {
-                let hwm = snap.records_hwm;
-                // If the replay buffer no longer reaches the checkpoint,
-                // recover the bare boundary state: the write-ahead log
-                // holds mid-epoch evictions from the very records the
-                // gap declares lost, and replaying it would smuggle part
-                // of their contribution back in — making the degradation
-                // ledger overcount the loss. Dropping the open-epoch
-                // suffix keeps `records_unreplayed` exact: every gap
-                // record is wholly lost, every buffered record is wholly
-                // re-processed.
-                let log = if self.buf_start > hwm {
-                    EvictionLog::new()
-                } else {
-                    log
-                };
-                match self.cfg.build().recover(&snap, log) {
-                    Ok(ex) => (ex, hwm),
-                    // Corrupt artifacts never abort a supervised shard:
-                    // fall back to a fresh build and replay what the
-                    // buffer still holds.
-                    Err(_) => (self.cfg.build(), 0),
-                }
-            }
+        match self.ex.latest_snapshot() {
+            Some(snap) => match self.cfg.build().recover(snap) {
+                Ok(ex) => (ex, snap.records_hwm),
+                // A mismatched checkpoint never aborts a supervised
+                // shard: fall back to a fresh build and replay what the
+                // buffer still holds.
+                Err(_) => (self.cfg.build(), 0),
+            },
             None => (self.cfg.build(), 0),
         }
     }

@@ -7,7 +7,7 @@
 //!   over randomly-hashed maps, wall-clock reads, thread identity,
 //!   pointer-derived values) must never flow into determinism *sinks*
 //!   (digest/fingerprint/checksum fields and encoders, and any field of
-//!   a `*Report`/`*Snapshot`/`*Wal*` struct). Taint is tracked through
+//!   a `*Report`/`*Snapshot` struct). Taint is tracked through
 //!   locals, struct-field assignments and function calls via per-fn
 //!   summaries iterated to a fixpoint, so a source laundered through an
 //!   intermediate helper in another crate is still caught.
@@ -243,8 +243,7 @@ impl<'a> Flow<'a> {
         // whose name marks a durable/reported artifact.
         let mut sink_fields = BTreeSet::new();
         for (sname, fields) in &st.struct_fields {
-            let sinky_owner =
-                sname.contains("Report") || sname.contains("Snapshot") || sname.contains("Wal");
+            let sinky_owner = sname.contains("Report") || sname.contains("Snapshot");
             for f in fields {
                 if sinky_owner || is_sink_field_name(f) {
                     sink_fields.insert(f.clone());

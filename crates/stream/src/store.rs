@@ -107,8 +107,8 @@ impl std::error::Error for StoreError {}
 /// new ones, never a mixture. [`StorageBackend::append`] extends an
 /// object (creating it empty first if needed) and only becomes durable
 /// at the next [`StorageBackend::sync`] — a crash in between may leave
-/// a *torn tail*, which the checkpoint store's WAL framing detects and
-/// repairs.
+/// a *torn tail*, so an appended format must frame and checksum its
+/// records. The checkpoint store writes only through `write_atomic`.
 pub trait StorageBackend: std::fmt::Debug + Send {
     /// Atomically replaces `path` with `bytes` (temp + fsync + rename +
     /// dir fsync). On success the bytes are durable.
@@ -131,8 +131,8 @@ pub trait StorageBackend: std::fmt::Debug + Send {
     /// Removes `path` if present (absence is not an error).
     fn remove(&mut self, path: &str) -> Result<(), StoreError>;
 
-    /// Truncates `path` to its first `len` bytes — the torn-tail repair
-    /// primitive (and the torn-write drill for tests).
+    /// Truncates `path` to its first `len` bytes — the torn-write drill
+    /// for tests, and the repair primitive for an appended tail.
     fn truncate(&mut self, path: &str, len: usize) -> Result<(), StoreError>;
 
     /// Flips one bit of byte `index` in `path` — the bit-rot drill.
@@ -378,7 +378,7 @@ impl StorageBackend for DiskBackend {
             }
             StepFate::Kill => {
                 // Torn append: a prefix lands, then the process dies —
-                // the exact tail shape WAL repair must truncate.
+                // the tail shape a reader of appended data must detect.
                 if let Ok(mut f) = open() {
                     let _ = f.write_all(&bytes[..bytes.len() / 2]);
                 }

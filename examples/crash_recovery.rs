@@ -7,9 +7,11 @@
 //!
 //! The durable layout is the generational checkpoint store: A/B
 //! checksummed manifest slots name the current generation, each
-//! `gen-N/` holds an atomically-written snapshot plus a segmented
-//! write-ahead eviction log, and every artifact carries an FNV-1a
-//! checksum so a torn or flipped byte is refused, never restored.
+//! `gen-N/` holds one atomically-written epoch-boundary snapshot, and
+//! every artifact carries an FNV-1a checksum so a torn or flipped byte
+//! is refused, never restored. Nothing is written between boundaries:
+//! recovery replays the source from the snapshot's record high-water
+//! mark, and determinism regenerates the lost open epoch exactly.
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
@@ -82,7 +84,7 @@ fn main() -> Result<(), MsaError> {
     );
 
     // The store lives in a real directory: every commit is write-temp →
-    // fsync → atomic-rename → fsync-dir, every WAL append is fsynced.
+    // fsync → atomic-rename → fsync-dir, once per epoch boundary.
     let root = std::env::temp_dir().join(format!("msa_crash_recovery_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
 
@@ -99,29 +101,27 @@ fn main() -> Result<(), MsaError> {
         let stats = handle.stats();
         println!(
             "\ncrash at record 7000: store holds generation {} after {} commits, \
-             {} WAL appends ({} segments rolled)",
+             {} generations garbage-collected",
             handle.generation(),
             stats.commits,
-            stats.wal_appends,
-            stats.wal_segments_rolled,
+            stats.generations_removed,
         );
     } // the "process" is gone; only the directory survives
 
     // Recovery is a fresh process: reopen the directory, read the
-    // manifest pair, load the newest generation, replay its WAL, then
-    // resume the stream from the checkpoint's high-water mark. Sequence
-    // numbers deduplicate the re-processed tail — exactly-once replay.
+    // manifest pair, load the newest generation's snapshot, then resume
+    // the stream from its high-water mark. The replay re-drains and
+    // re-delivers the open epoch the crash lost, bit for bit.
     let handle = StoreHandle::on_disk(&root).map_err(store_error)?;
     let recovery = handle.recover_executor(&config());
     let mut recovered = recovery
         .executor
         .ok_or(MsaError::State("clean store must yield an executor"))?;
     println!(
-        "reboot: recovered generation {} at record {}, {} torn WAL entries dropped, \
-         {} fallbacks",
+        "reboot: recovered generation {} at record {} ({} records to replay), {} fallbacks",
         recovery.generation,
         recovery.records_hwm,
-        recovery.torn_entries_dropped,
+        stream.records.len() as u64 - recovery.records_hwm,
         recovery.fallbacks,
     );
     assert_eq!(recovery.fallbacks, 0, "nothing was torn yet");
@@ -198,8 +198,8 @@ fn main() -> Result<(), MsaError> {
     }
     std::fs::remove_dir_all(&root).ok();
     println!(
-        "\nexactly-once replay off real disk: every delivery applied once, none lost,\n\
-         none doubled — even when the newest checkpoint itself was torn."
+        "\nreplay from the last boundary off real disk: every delivery applied once,\n\
+         none lost, none doubled — even when the newest checkpoint itself was torn."
     );
     Ok(())
 }

@@ -577,7 +577,6 @@ fn bounds_survive_crash_recovery_bit_identical() {
         let mut crashed = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
             .with_guard(guard)
             .with_faults(&faults)
-            .with_eviction_log()
             .with_snapshots()
             .with_crash(CrashPlan::at_record(at));
         crashed.run(&records);
@@ -592,9 +591,9 @@ fn bounds_survive_crash_recovery_bit_identical() {
                 qb.lo()
             );
         }
-        let (snap, log) = crashed.durable_state().expect("genesis snapshot exists");
+        let snap = crashed.latest_snapshot().expect("genesis snapshot exists");
         let mut recovered = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
-            .recover(&snap, log)
+            .recover(snap)
             .unwrap_or_else(|e| panic!("{label}: recovery refused: {e}"));
         recovered.run(&records[snap.records_hwm as usize..]);
         let (report, hfta) = recovered.finish();

@@ -12,7 +12,7 @@
 //!    two epochs and the guard returns to level 0 after the burst.
 //! 4. **Crash sweeps** — process deaths at the stream's start, middle,
 //!    end and mid-flush, composed with channel loss/duplication, all
-//!    recover bit-identically via the checkpoint + write-ahead log.
+//!    recover bit-identically from the boundary checkpoint plus replay.
 
 use msa_core::{
     AttrSet, Burst, CostParams, CrashPlan, EngineOptions, Executor, FaultPlan, GuardLevel,
@@ -374,19 +374,16 @@ fn crash_sweep_composed_with_channel_faults_recovers_exactly() {
         (CrashPlan::after_offers(total_offers - 1), "final flush"),
     ];
     for (crash, what) in crashes {
-        let mut crashed = build()
-            .with_eviction_log()
-            .with_snapshots()
-            .with_crash(crash);
+        let mut crashed = build().with_snapshots().with_crash(crash);
         crashed.run(&stream.records);
         if !crashed.has_crashed() {
             crashed.flush_epoch();
         }
         assert!(crashed.has_crashed(), "fuse at {what} must fire");
-        let (snap, log) = crashed.durable_state().expect("durable artifacts");
+        let snap = crashed.latest_snapshot().expect("boundary checkpoint");
 
         let mut ex = build()
-            .recover(&snap, log)
+            .recover(snap)
             .unwrap_or_else(|e| panic!("recovery at {what}: {e}"));
         ex.run(&stream.records[snap.records_hwm as usize..]);
         let (report, hfta) = ex.finish();
@@ -462,7 +459,6 @@ fn identical_seeds_produce_identical_run_reports() {
             .with_eviction_duplication(0.04);
         let mut ex = Executor::new(phantom_plan(64, 32), CostParams::paper(), 1_000_000, 5)
             .with_faults(&faults)
-            .with_eviction_log()
             .with_snapshots();
         ex.run(&trace.records);
         ex.finish()

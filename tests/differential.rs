@@ -16,7 +16,7 @@
 //!   both the serial and the merged sharded report, so bias-corrected
 //!   totals agree with ground truth on both sides;
 //! * **crash equivalence** — crash any one shard at any armed point,
-//!   recover it from its snapshot + eviction log, and the merged
+//!   recover it from its boundary snapshot plus replay, and the merged
 //!   outputs are bit-identical to the same deployment never crashing;
 //! * **snapshot framing** — the deployment-wide [`ShardedSnapshot`]
 //!   round-trips through its binary encoding.
@@ -283,10 +283,11 @@ fn matrix_crashed_shards_recover_to_no_crash_run() {
                         build_sharded(n, &faults, guard_on, true).with_crash(crash_shard, crash);
                     sx.run(&records);
                     assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
-                    let (snapshot, log) = sx
-                        .durable_state(crash_shard)
-                        .expect("crash leaves durable artifacts");
-                    sx.recover_shard(crash_shard, &snapshot, log, &records)
+                    let snapshot = sx
+                        .latest_snapshot(crash_shard)
+                        .cloned()
+                        .expect("crash leaves a boundary checkpoint");
+                    sx.recover_shard(crash_shard, &snapshot, &records)
                         .expect("recovery succeeds");
                     assert!(sx.crashed_shards().is_empty(), "{label}");
                     let (got_report, got_hfta) = sx.finish();

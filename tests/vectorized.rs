@@ -16,8 +16,8 @@
 //!
 //! Chunking is pure batching: the executor re-derives epoch boundaries
 //! from the timestamp column, so no chunk size, shard count, fault or
-//! crash point may shift a single PRNG draw, sequence number or WAL
-//! entry. `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix.
+//! crash point may shift a single PRNG draw or checkpoint byte.
+//! `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix.
 
 use msa_core::{
     AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Ingest, IngestMode,
@@ -285,13 +285,14 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                 crash_points.truncate(2);
             }
             for (cname, crash) in crash_points {
-                // Scalar-feed crash run: the oracle's durable artifacts.
+                // Scalar-feed crash run: the oracle's boundary checkpoint.
                 let mut scalar = build_sharded(n, &faults, false, true, IngestMode::Scalar)
                     .with_crash(crash_shard, crash);
                 scalar.run(&records);
-                let (want_snap, want_log) = scalar
-                    .durable_state(crash_shard)
-                    .expect("crash leaves durable artifacts");
+                let want_snap = scalar
+                    .latest_snapshot(crash_shard)
+                    .cloned()
+                    .expect("crash leaves a boundary checkpoint");
                 for &size in &sizes {
                     let label = format!("{n} shards/chunk={size}/{fname}/{cname}");
                     let mut sx =
@@ -299,14 +300,14 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                             .with_crash(crash_shard, crash);
                     sx.run(&records);
                     assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
-                    let (got_snap, got_log) = sx
-                        .durable_state(crash_shard)
-                        .expect("crash leaves durable artifacts");
-                    // The durable artifacts a mid-chunk death leaves are
-                    // the scalar ones, byte for byte.
+                    let got_snap = sx
+                        .latest_snapshot(crash_shard)
+                        .cloned()
+                        .expect("crash leaves a boundary checkpoint");
+                    // The checkpoint a mid-chunk death leaves is the
+                    // scalar one, byte for byte.
                     assert_eq!(got_snap.encode(), want_snap.encode(), "{label}: snapshot");
-                    assert_eq!(got_log.encode(), want_log.encode(), "{label}: WAL");
-                    sx.recover_shard(crash_shard, &got_snap, got_log, &records)
+                    sx.recover_shard(crash_shard, &got_snap, &records)
                         .expect("recovery succeeds");
                     assert!(sx.crashed_shards().is_empty(), "{label}");
                     let (got_report, got_hfta) = sx.finish();
