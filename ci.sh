@@ -111,18 +111,22 @@ MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin d
 git checkout -- results/BENCH_degraded_accuracy.json 2>/dev/null || true
 
 echo "==> durability drill (reduced matrix)"
-# {bit-flip, truncation} x {snapshot, manifest pair}, {torn write,
-# ENOSPC, EIO, crash-after-op} x every store op of the run, the lying
-# fsync, plus the DiskBackend kill-between-syscalls sweep over every
-# step: each cell must end in bit-identical recovery or an explicit
-# accounted fallback, twice.
+# {bit-flip, truncation} x {head snapshot, chain link below the head,
+# manifest pair}, {torn write, ENOSPC, EIO, crash-after-op} x every
+# store op of the run, the lying fsync, plus the DiskBackend
+# kill-between-syscalls sweep over every step: each cell must end in
+# bit-identical recovery or an explicit accounted fallback, twice. A
+# rotten chain link must land recovery just below it and leave the
+# abandoned branch to GC.
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test recovery
 
 echo "==> checkpoint-durability bench (reduced scale)"
 # Durable-disk overhead vs the in-memory twin and cold-start (open +
 # scrub + rebuild) latency per checkpoint density; functional two-run
-# determinism is asserted inside the bench. The committed full-scale
-# JSON is restored afterwards.
+# determinism and the O(epoch) commit (newest generation file at most
+# twice the smallest delta, read from each row's store directory) are
+# asserted inside the bench. The committed full-scale JSON is restored
+# afterwards.
 MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin checkpoint_durability
 git checkout -- results/BENCH_durability.json 2>/dev/null || true
 if [ ! -s results/BENCH_durability.json ]; then
@@ -130,13 +134,17 @@ if [ ! -s results/BENCH_durability.json ]; then
     exit 1
 fi
 
-echo "==> perfbench smoke (durable workload)"
+echo "==> perfbench smoke (every workload)"
 # perfbench/ is its own cargo workspace, so the steps above never build
-# it. A short durable run compiles it against the current store and
-# executor API, then crashes, recovers and replays; it exits non-zero on
-# any oracle mismatch, store failure or divergence.
-timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload durable --seed 1 --seconds 2 --trace 0
+# it. A short run of each workload compiles it against the current store
+# and executor API and drives the shared eviction path; the durable one
+# also crashes, recovers and replays. Each exits non-zero on any oracle
+# mismatch, store failure or divergence.
+for workload in trace collide wide durable; do
+    echo "--> perfbench $workload"
+    timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -3,11 +3,13 @@
 //!
 //! The durable store commits a generation at every epoch boundary
 //! (write-temp → fsync → rename → fsync-dir) and writes nothing in
-//! between. Commits buy crash atomicity with real syscalls, so the
-//! interesting numbers are the *overhead* of a store-attached run
-//! against the identical in-memory run, amortized per commit, and the
-//! *cold-start latency*: reopening the directory, scrubbing every
-//! artifact, and rebuilding an executor from the newest generation.
+//! between. Each generation after genesis is a delta holding only the
+//! epoch it closed, chained to its parent. Commits buy crash atomicity
+//! with real syscalls, so the interesting numbers are the *overhead* of
+//! a store-attached run against the identical in-memory run, amortized
+//! per commit, and the *cold-start latency*: reopening the directory,
+//! scrubbing every artifact, and rebuilding an executor from the newest
+//! chain.
 //!
 //! The epoch length is the checkpoint-density knob, so the sweep runs
 //! one row per epoch length: denser checkpoints mean more commit
@@ -15,14 +17,18 @@
 //! reported, each row's durable run and its recovery are executed twice
 //! and asserted bit-identical — reports, per-query results, store
 //! counters, and the recovered generation all included; wall-clock is
-//! the only thing allowed to vary.
+//! the only thing allowed to vary. Each row also gates the O(epoch)
+//! commit on the row's store directory: the uniform stream closes
+//! epochs of one size, so the newest generation file must be at most
+//! twice the smallest one after genesis. The gate is clock-free and runs
+//! at every scale.
 //!
 //! Writes `results/BENCH_durability.json`.
 
 use msa_bench::{print_table, scale, seed, CostParams, PhysicalPlan, RunReport};
 use msa_core::{ExecutorConfig, Hfta, MsaError, StoreHandle, StoreStats};
 use msa_stream::{AttrSet, Record, UniformStreamBuilder};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 fn plan() -> Result<PhysicalPlan, MsaError> {
@@ -62,6 +68,34 @@ struct DurableRun {
     report: RunReport,
     stats: StoreStats,
     run_ms: f64,
+    /// Snapshot-file bytes of the newest generation.
+    newest_bytes: u64,
+    /// Snapshot-file bytes of the smallest generation after genesis.
+    smallest_delta_bytes: u64,
+}
+
+/// Snapshot-file size of every generation under `root`, in generation
+/// order.
+fn generation_sizes(root: &Path) -> Result<Vec<u64>, MsaError> {
+    let io = |e: std::io::Error| MsaError::TraceIo(e.into());
+    let mut sizes = Vec::new();
+    for entry in std::fs::read_dir(root).map_err(io)? {
+        let entry = entry.map_err(io)?;
+        let name = entry.file_name();
+        let Some(gen) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("gen-"))
+            .and_then(|n| n.parse::<u64>().ok())
+        else {
+            continue;
+        };
+        let len = std::fs::metadata(entry.path().join("snapshot.bin"))
+            .map_err(io)?
+            .len();
+        sizes.push((gen, len));
+    }
+    sizes.sort_unstable();
+    Ok(sizes.into_iter().map(|(_, len)| len).collect())
 }
 
 fn durable_run(
@@ -82,10 +116,36 @@ fn durable_run(
     assert!(!ex.store_degraded(), "the disk store must not degrade");
     let report = ex.report().clone();
     drop(ex);
+    // O(epoch) commits: past the genesis base every generation holds
+    // one epoch's results, which this stationary stream keeps at one
+    // size. The chain keeps one generation per commit, so the sizes
+    // span the whole run; a commit that re-encoded every result since
+    // record zero would grow linearly and fail here.
+    let sizes = generation_sizes(root)?;
+    let stats = handle.stats();
+    assert_eq!(
+        sizes.len() as u64,
+        stats.commits,
+        "the store must hold one chained generation per commit: {sizes:?}"
+    );
+    let (Some(&newest_bytes), Some(smallest_delta_bytes)) =
+        (sizes.last(), sizes.iter().skip(1).copied().min())
+    else {
+        return Err(MsaError::State(
+            "a durable run must leave a delta generation",
+        ));
+    };
+    assert!(
+        newest_bytes <= 2 * smallest_delta_bytes,
+        "commit size grows with the run: newest generation {newest_bytes} B, \
+         smallest delta {smallest_delta_bytes} B ({sizes:?})"
+    );
     Ok(DurableRun {
         report,
-        stats: handle.stats(),
+        stats,
         run_ms,
+        newest_bytes,
+        smallest_delta_bytes,
     })
 }
 
@@ -142,6 +202,8 @@ struct Row {
     per_commit_us: f64,
     recover_ms: f64,
     replay_records: u64,
+    newest_bytes: u64,
+    smallest_delta_bytes: u64,
 }
 
 fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
@@ -152,7 +214,8 @@ fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
                 "    {{\"epoch_micros\": {}, \"commits\": {}, \
                  \"durable_run_ms\": {:.3}, \"in_memory_run_ms\": {:.3}, \
                  \"overhead_pct\": {:.1}, \"per_commit_overhead_us\": {:.1}, \
-                 \"cold_start_ms\": {:.3}, \"replay_records\": {}}}",
+                 \"cold_start_ms\": {:.3}, \"replay_records\": {}, \
+                 \"newest_generation_bytes\": {}, \"smallest_delta_bytes\": {}}}",
                 r.epoch_micros,
                 r.commits,
                 r.run_ms,
@@ -160,7 +223,9 @@ fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
                 r.overhead_pct,
                 r.per_commit_us,
                 r.recover_ms,
-                r.replay_records
+                r.replay_records,
+                r.newest_bytes,
+                r.smallest_delta_bytes
             )
         })
         .collect();
@@ -171,9 +236,12 @@ fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
          \"note\": \"Each row attaches a real DiskBackend (write-temp/fsync/rename/fsync-dir \
          commits, one per epoch boundary and nothing in between) and compares against the \
          identical in-memory run; per_commit_overhead_us charges the whole durable-minus-\
-         in-memory difference to the commits. cold_start_ms = reopen + full scrub + rebuild \
-         from the newest generation; replay_records = stream tail past the recovered \
-         high-water mark. Functional \
+         in-memory difference to the commits. Each generation after the genesis base is a \
+         delta holding only the epoch it closed, chained to its parent; newest_generation_bytes \
+         and smallest_delta_bytes are snapshot-file sizes read from the store directory, and \
+         the bench asserts the first is at most twice the second. cold_start_ms = reopen + \
+         full scrub + rebuild from the newest chain; replay_records = stream tail past the \
+         recovered high-water mark. Functional \
          determinism (two durable runs and two recoveries bit-identical: reports, results, \
          store counters, generation) is asserted before timings are reported — wall-clock \
          is the only free variable.\",\n  \"rows\": [\n{}\n  ]\n}}\n",
@@ -245,6 +313,8 @@ fn main() -> Result<(), MsaError> {
             per_commit_us: overhead_ms * 1e3 / d1.stats.commits as f64,
             recover_ms: c1.recover_ms,
             replay_records: c1.replay_records,
+            newest_bytes: d1.newest_bytes,
+            smallest_delta_bytes: d1.smallest_delta_bytes,
         });
         std::fs::remove_dir_all(&root).ok();
         std::fs::remove_dir_all(&root2).ok();

@@ -24,7 +24,7 @@ use crate::guard::{GuardLevel, GuardPolicy, GuardTransition, OverloadGuard, Shed
 use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
 use crate::snapshot::{plan_fingerprint, RecoveryError, Snapshot, SnapshotError};
-use crate::store::StoreHandle;
+use crate::store::{ChainHead, StoreHandle};
 use crate::table::{AggState, LftaTable, Probe, TableStats};
 use crate::CostParams;
 use msa_stream::hash::mix64;
@@ -485,6 +485,11 @@ pub struct Executor {
     /// later recovery falls back to the last committed generation and
     /// accounts the gap explicitly).
     store_broken: bool,
+    /// The store generation this executor's last successful commit
+    /// wrote, or the one it was recovered from: its results are a
+    /// prefix of ours, so the next commit writes only the results
+    /// closed since. `None` makes the next commit a base.
+    store_head: Option<ChainHead>,
 }
 
 impl Executor {
@@ -549,6 +554,7 @@ impl Executor {
             crashed: false,
             store: None,
             store_broken: false,
+            store_head: None,
         }
     }
 
@@ -618,15 +624,27 @@ impl Executor {
 
     /// Attaches a generational checkpoint store: boundary checkpoints
     /// commit to it (atomically, behind the A/B manifest). Implies
-    /// [`Executor::with_snapshots`]. Store failures never panic the
-    /// pipeline: past the retry budget the executor latches
-    /// [`Executor::store_degraded`] and continues on in-memory
+    /// [`Executor::with_snapshots`]. The first commit writes a base
+    /// generation holding every finished result; each later one chains
+    /// a delta holding only the epochs closed since. Store failures
+    /// never panic the pipeline: past the retry budget the executor
+    /// latches [`Executor::store_degraded`] and continues on in-memory
     /// checkpoints.
     pub fn with_store(mut self, store: StoreHandle) -> Executor {
         self.auto_snapshot = true;
         self.store = Some(store);
         self.store_broken = false;
+        self.store_head = None;
         self
+    }
+
+    /// [`Executor::with_store`] for an executor just recovered from
+    /// `head`: its next commit chains onto that generation instead of
+    /// writing a base.
+    pub(crate) fn with_store_head(self, store: StoreHandle, head: ChainHead) -> Executor {
+        let mut ex = self.with_store(store);
+        ex.store_head = Some(head);
+        ex
     }
 
     /// The attached checkpoint store, if any (shard drivers clone this
@@ -722,8 +740,9 @@ impl Executor {
             return;
         }
         if let Some(store) = &self.store {
-            if store.commit(snap).is_err() {
-                self.store_broken = true;
+            match store.commit(snap, self.store_head) {
+                Ok(head) => self.store_head = Some(head),
+                Err(_) => self.store_broken = true,
             }
         }
     }
@@ -738,7 +757,7 @@ impl Executor {
             return Ok(());
         };
         let snap = self.make_snapshot();
-        store.commit(&snap)?;
+        self.store_head = Some(store.commit(&snap, self.store_head)?);
         self.latest_snapshot = Some(Box::new(snap));
         Ok(())
     }
@@ -800,10 +819,11 @@ impl Executor {
         let Some(own) = self.plan.nodes().get(i).map(|n| n.attrs) else {
             return;
         };
-        // Children are few; clone the index list to appease the borrow
-        // checker without restructuring the hot path.
-        let kids = self.children.get(i).cloned().unwrap_or_default();
-        for c in kids {
+        // Index the child list afresh each step: `push` needs `&mut
+        // self`, and re-borrowing beats cloning the list per eviction.
+        let mut k = 0;
+        while let Some(&c) = self.children.get(i).and_then(|kids| kids.get(k)) {
+            k += 1;
             let Some(child_attrs) = self.plan.nodes().get(c).map(|n| n.attrs) else {
                 continue;
             };

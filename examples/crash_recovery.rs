@@ -7,9 +7,10 @@
 //!
 //! The durable layout is the generational checkpoint store: A/B
 //! checksummed manifest slots name the current generation, each
-//! `gen-N/` holds one atomically-written epoch-boundary snapshot, and
-//! every artifact carries an FNV-1a checksum so a torn or flipped byte
-//! is refused, never restored. Nothing is written between boundaries:
+//! `gen-N/` holds one atomically-written epoch-boundary snapshot — the
+//! boundary state plus only the epochs closed since its parent, chained
+//! to it — and every artifact carries an FNV-1a checksum so a torn or
+//! flipped byte is refused, never restored. Nothing is written between boundaries:
 //! recovery replays the source from the snapshot's record high-water
 //! mark, and determinism regenerates the lost open epoch exactly.
 //!
@@ -101,7 +102,7 @@ fn main() -> Result<(), MsaError> {
         let stats = handle.stats();
         println!(
             "\ncrash at record 7000: store holds generation {} after {} commits, \
-             {} generations garbage-collected",
+             one chain, {} generations garbage-collected",
             handle.generation(),
             stats.commits,
             stats.generations_removed,
@@ -109,9 +110,10 @@ fn main() -> Result<(), MsaError> {
     } // the "process" is gone; only the directory survives
 
     // Recovery is a fresh process: reopen the directory, read the
-    // manifest pair, load the newest generation's snapshot, then resume
-    // the stream from its high-water mark. The replay re-drains and
-    // re-delivers the open epoch the crash lost, bit for bit.
+    // manifest pair, stitch the newest generation's chain into one
+    // snapshot, then resume the stream from its high-water mark. The
+    // replay re-drains and re-delivers the open epoch the crash lost,
+    // bit for bit.
     let handle = StoreHandle::on_disk(&root).map_err(store_error)?;
     let recovery = handle.recover_executor(&config());
     let mut recovered = recovery

@@ -458,7 +458,8 @@ fn mid_epoch_capture_is_refused() {
 const DRILL_EPOCH: u64 = 1_000;
 
 /// Fault-sweep drill length: six epoch closes after the genesis commit,
-/// so every sweep reaches both manifest slots and several GC removals.
+/// so every sweep reaches both manifest slots and a seven-generation
+/// chain.
 const SWEEP_RECORDS: u32 = 700;
 
 fn drill_records(n: u32) -> Vec<Record> {
@@ -494,14 +495,15 @@ fn unfused_drill(handle: &StoreHandle, seed: u64, recs: &[Record]) -> Unfused {
     live.run(recs);
     assert!(!live.store_degraded(), "the unfused run must stay healthy");
     let stats = handle.stats();
+    let listing = handle.with_backend(|b| b.list("")).unwrap();
+    let generations = listing.iter().filter(|n| n.starts_with("gen-")).count();
+    // Each commit extends one chain: a steady-state run leaves one
+    // generation per commit and GC has nothing to remove.
     assert!(
-        stats.commits >= 6 && stats.generations_removed >= 1,
-        "the drill must cross five boundaries and GC: {stats:?}"
+        stats.commits >= 6 && stats.generations_removed == 0 && generations as u64 == stats.commits,
+        "the drill must cross five boundaries on one chain: {stats:?}, {listing:?}"
     );
-    Unfused {
-        stats,
-        listing: handle.with_backend(|b| b.list("")).unwrap(),
-    }
+    Unfused { stats, listing }
 }
 
 /// Everything a drill cell produces, for the two-run bit-identity gate.
@@ -552,7 +554,9 @@ fn assert_matches_oracle(cell: &CellOutcome, oracle: &(RunReport, Hfta), label: 
 }
 
 /// One post-hoc corruption cell: run durably, rot one artifact class,
-/// power-cut, recover, replay, compare against the oracle.
+/// power-cut, recover, replay, compare against the oracle. `link` rots
+/// the generation below the head — strictly inside the chain both
+/// manifest heads run through.
 fn corruption_cell(
     artifact: &str,
     rot: &str,
@@ -565,8 +569,14 @@ fn corruption_cell(
     live.run(recs);
     drop(live);
     let newest = handle.generation();
+    assert!(
+        newest >= 3,
+        "{label}: the chain needs a link below the head"
+    );
+    let link = newest - 1;
     let targets: Vec<String> = match artifact {
         "snapshot" => vec![format!("gen-{newest}/snapshot.bin")],
+        "link" => vec![format!("gen-{link}/snapshot.bin")],
         // Rot BOTH manifest slots: recovery must fall through to the
         // orphan generation-directory scan.
         _ => vec!["manifest.a".to_string(), "manifest.b".to_string()],
@@ -604,6 +614,30 @@ fn corruption_cell(
                 "{label}: the rotten generation must be quarantined"
             );
         }
+        "link" => {
+            // Both heads chain through the rotten link: recovery lands
+            // on the generation just below it, explicitly.
+            assert_eq!(cell.generation, link - 1, "{label}: just below the rot");
+            assert!(cell.fallbacks >= 1, "{label}: fallback must be taken");
+            assert!(
+                cell.stats.generations_quarantined >= 1,
+                "{label}: the rotten link must be quarantined"
+            );
+            // The replay's commits chain onto the recovered head, so GC
+            // drops the abandoned branch: the rotten link and the heads
+            // above it.
+            assert!(
+                cell.stats.generations_removed >= 1,
+                "{label}: the abandoned branch must be collected"
+            );
+            let listing = handle.with_backend(|b| b.list("")).unwrap();
+            for g in link..=newest {
+                assert!(
+                    !listing.contains(&format!("gen-{g}")),
+                    "{label}: gen-{g} is off every chain but survived GC"
+                );
+            }
+        }
         _ => {
             // Both manifests dead: the orphan scan still finds the
             // newest generation — nothing is lost, nothing falls back.
@@ -615,14 +649,14 @@ fn corruption_cell(
 }
 
 /// The post-hoc corruption matrix: {bit-flip, truncation} × {snapshot,
-/// manifest pair}, each cell run twice and required to be bit-identical
-/// — and each cell required to end in bit-identical recovery or
-/// explicit accounted fallback, never silent corruption.
+/// chain link, manifest pair}, each cell run twice and required to be
+/// bit-identical — and each cell required to end in bit-identical
+/// recovery or explicit accounted fallback, never silent corruption.
 #[test]
 fn corruption_matrix_recovers_bit_identically_or_falls_back_accounted() {
     let recs = drill_records(240);
     let oracle = drill_oracle(7, &recs);
-    for artifact in ["snapshot", "manifest"] {
+    for artifact in ["snapshot", "link", "manifest"] {
         for rot in ["bit-flip", "truncate"] {
             let label = format!("{artifact} x {rot}");
             let first = corruption_cell(artifact, rot, &recs, &oracle, &label);
