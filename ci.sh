@@ -103,6 +103,18 @@ if [ ! -s results/BENCH_chunk_throughput.json ]; then
     exit 1
 fi
 
+echo "==> shard-scaling bench (reduced scale)"
+# Wall-clock records/s of the threaded deployment at 1/2/4/8 shards;
+# two threaded runs per shard count are asserted bit-identical inside
+# the bench before anything is timed. The committed full-scale JSON is
+# restored afterwards.
+MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin shard_scaling
+git checkout -- results/BENCH_shard_scaling.json 2>/dev/null || true
+if [ ! -s results/BENCH_shard_scaling.json ]; then
+    echo "error: results/BENCH_shard_scaling.json missing or empty" >&2
+    exit 1
+fi
+
 echo "==> degraded-accuracy bench (reduced scale)"
 # Width-vs-error soundness and two-run interval determinism are
 # asserted inside the bench; the committed full-scale JSON is restored

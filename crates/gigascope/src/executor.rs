@@ -10,9 +10,10 @@
 //! * a collision in a *query* table evicts the occupant to the HFTA
 //!   (cost `c2`); if the query also feeds children, the occupant feeds
 //!   them too;
-//! * at each epoch boundary, tables are scanned top-down: every entry is
-//!   propagated to the children (collisions cascade as usual) and query
-//!   tables finally evict everything to the HFTA (§3.2.2).
+//! * at each epoch boundary, tables are drained top-down (§3.2.2): a
+//!   drained query table evicts its entries to the HFTA, and a drained
+//!   table's entries feed its children one child at a time, collisions
+//!   cascading as usual.
 //!
 //! The executor meters intra-epoch and end-of-epoch costs separately, so
 //! experiments can compare measured values against Eq. 7 and Eq. 8.
@@ -25,7 +26,7 @@ use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
 use crate::snapshot::{plan_fingerprint, RecoveryError, Snapshot, SnapshotError};
 use crate::store::{ChainHead, StoreHandle};
-use crate::table::{AggState, LftaTable, Probe, TableStats};
+use crate::table::{AggState, Entry, LftaTable, Probe, TableStats};
 use crate::CostParams;
 use msa_stream::hash::mix64;
 use msa_stream::{AttrSet, Filter, GroupKey, Record, RecordChunk};
@@ -719,7 +720,7 @@ impl Executor {
             return;
         };
         if let Probe::Evicted(old) = table.probe(key, agg) {
-            self.emit(i, old.key, old.agg);
+            self.emit(i, std::slice::from_ref(&old));
         }
     }
 
@@ -762,49 +763,60 @@ impl Executor {
         Ok(())
     }
 
-    /// Routes an entry leaving node `i` (eviction or flush scan) to the
-    /// HFTA and/or the node's children. The HFTA hop goes through the
-    /// eviction channel, which may drop or duplicate the entry; either
-    /// way the report accounts the exact record mass affected.
-    fn emit(&mut self, i: usize, key: GroupKey, agg: AggState) {
+    /// Routes entries leaving node `i` — one evicted entry at ingest,
+    /// or the whole drained table at the flush — to the HFTA and/or the
+    /// node's children. The HFTA hop goes through the eviction channel,
+    /// which may drop or duplicate an entry; either way the report
+    /// accounts the exact record mass affected.
+    ///
+    /// Every entry is offered to the HFTA first; the cascade then feeds
+    /// the children one at a time, each child probed with every entry in
+    /// order before the next child starts. A child's evictions cascade
+    /// at once through this same routine. Each table therefore sees the
+    /// probe sequence an entry-by-entry cascade would give it, while a
+    /// flush works on one child table at a time instead of interleaving
+    /// all of them.
+    fn emit(&mut self, i: usize, entries: &[Entry]) {
         if self.crashed {
             return;
         }
         if let Some(slot) = self.query_slot.get(i).copied().flatten() {
-            // Crash fuse: dies right before offer `after_offers + 1`
-            // (offers are counted by the eviction totals, so a fuse
-            // between two boundary counts lands mid-flush).
-            if let Some(n) = self.crash.after_offers {
-                if self.report.intra_evictions + self.report.flush_evictions >= n {
-                    self.crashed = true;
-                    return;
-                }
-            }
-            // The transfer attempt costs `c2` whatever its fate.
-            if self.in_flush {
-                self.report.flush_evictions += 1;
-            } else {
-                self.report.intra_evictions += 1;
-            }
             let query = self.queries.get(slot).copied().unwrap_or(AttrSet::EMPTY);
-            match self.channel.offer() {
-                Delivery::Delivered => self.deliver(slot, key, agg, 1),
-                Delivery::Duplicated => {
-                    self.deliver(slot, key, agg, 2);
-                    self.report.evictions_duplicated += 1;
-                    RunReport::bump(&mut self.report.duplicated_records, query, agg.count);
-                    // Uncontrolled overcount: it widens the guaranteed
-                    // interval, so it draws down the degradation budget.
-                    if let Some(g) = &mut self.guard {
-                        g.account_loss(agg.count);
+            for &Entry { key, agg } in entries {
+                // Crash fuse: dies right before offer `after_offers + 1`
+                // (offers are counted by the eviction totals, so a fuse
+                // between two boundary counts lands mid-flush).
+                if let Some(n) = self.crash.after_offers {
+                    if self.report.intra_evictions + self.report.flush_evictions >= n {
+                        self.crashed = true;
+                        return;
                     }
                 }
-                Delivery::Dropped => {
-                    self.report.evictions_dropped += 1;
-                    RunReport::bump(&mut self.report.dropped_records, query, agg.count);
-                    // Uncontrolled undercount, same budget accounting.
-                    if let Some(g) = &mut self.guard {
-                        g.account_loss(agg.count);
+                // The transfer attempt costs `c2` whatever its fate.
+                if self.in_flush {
+                    self.report.flush_evictions += 1;
+                } else {
+                    self.report.intra_evictions += 1;
+                }
+                match self.channel.offer() {
+                    Delivery::Delivered => self.deliver(slot, key, agg, 1),
+                    Delivery::Duplicated => {
+                        self.deliver(slot, key, agg, 2);
+                        self.report.evictions_duplicated += 1;
+                        RunReport::bump(&mut self.report.duplicated_records, query, agg.count);
+                        // Uncontrolled overcount: it widens the guaranteed
+                        // interval, so it draws down the degradation budget.
+                        if let Some(g) = &mut self.guard {
+                            g.account_loss(agg.count);
+                        }
+                    }
+                    Delivery::Dropped => {
+                        self.report.evictions_dropped += 1;
+                        RunReport::bump(&mut self.report.dropped_records, query, agg.count);
+                        // Uncontrolled undercount, same budget accounting.
+                        if let Some(g) = &mut self.guard {
+                            g.account_loss(agg.count);
+                        }
                     }
                 }
             }
@@ -827,8 +839,13 @@ impl Executor {
             let Some(child_attrs) = self.plan.nodes().get(c).map(|n| n.attrs) else {
                 continue;
             };
-            let child_key = key.reproject(own, child_attrs);
-            self.push(c, child_key, agg);
+            for e in entries {
+                if self.crashed {
+                    // Died mid-cascade: the rest vanishes with the process.
+                    return;
+                }
+                self.push(c, e.key.reproject(own, child_attrs), e.agg);
+            }
         }
     }
 
@@ -1097,7 +1114,7 @@ impl Executor {
                             None => continue,
                         };
                         if let Probe::Evicted(old) = probe {
-                            self.emit(node, old.key, old.agg);
+                            self.emit(node, std::slice::from_ref(&old));
                         }
                     }
                 }
@@ -1161,7 +1178,7 @@ impl Executor {
                         None => continue,
                     };
                     if let Probe::Evicted(old) = probe {
-                        self.emit(node, old.key, old.agg);
+                        self.emit(node, std::slice::from_ref(&old));
                     }
                 }
                 if self.crashed {
@@ -1176,9 +1193,10 @@ impl Executor {
         self.report.intra_probes += local_probes;
     }
 
-    /// Closes the current epoch: scans tables top-down, propagating every
-    /// entry to the children and finally evicting query contents to the
-    /// HFTA (§3.2.2).
+    /// Closes the current epoch (§3.2.2): drains the tables top-down,
+    /// and [`Executor::emit`]s each drained table whole — its query
+    /// contents to the HFTA, then into its children one child at a time
+    /// — before draining the next.
     pub fn flush_epoch(&mut self) {
         if self.crashed {
             return;
@@ -1189,13 +1207,11 @@ impl Executor {
                 continue;
             };
             let entries = table.drain();
-            for e in entries {
-                self.emit(i, e.key, e.agg);
-                if self.crashed {
-                    // Died mid-flush: the epoch never closes; the rest
-                    // of the drained entries vanish with the process.
-                    return;
-                }
+            self.emit(i, &entries);
+            if self.crashed {
+                // Died mid-flush: the epoch never closes; the rest of
+                // the drained entries vanish with the process.
+                return;
             }
         }
         self.in_flush = false;
@@ -2254,6 +2270,100 @@ mod tests {
         for q in ["AB", "C"] {
             let total: u64 = hfta.totals(s(q)).values().sum();
             assert_eq!(total, 777, "query {q}");
+        }
+    }
+
+    /// The entry-major drain the flush used before it went child by
+    /// child: each drained entry is emitted alone, reaching the HFTA and
+    /// then every child before the next entry starts. Leaves the tables
+    /// empty; the caller closes the epoch with `flush_epoch`.
+    fn entry_major_drain(ex: &mut Executor) {
+        ex.in_flush = true;
+        for i in 0..ex.tables.len() {
+            let entries = ex.tables[i].drain();
+            for e in entries {
+                ex.emit(i, std::slice::from_ref(&e));
+                if ex.crashed {
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn child_by_child_flush_matches_entry_major_reference() {
+        // ABCD feeds a query AB that feeds a query A, and a phantom BCD
+        // with three query children. Tiny tables over a narrow key range
+        // make every drained entry collide on its way down.
+        let node = |attrs: &str, parent: Option<usize>, buckets: usize, is_query: bool| PlanNode {
+            attrs: s(attrs),
+            parent,
+            buckets,
+            is_query,
+        };
+        let plan = PhysicalPlan::new(vec![
+            node("ABCD", None, 61, false),
+            node("AB", Some(0), 7, true),
+            node("A", Some(1), 3, true),
+            node("BCD", Some(0), 13, false),
+            node("BC", Some(3), 5, true),
+            node("BD", Some(3), 4, true),
+            node("CD", Some(3), 5, true),
+        ])
+        .unwrap();
+        let mut rng = msa_stream::SplitMix64::new(0xF1_05);
+        let recs: Vec<Record> = (0..6_000u64)
+            .map(|i| {
+                let vals = [
+                    rng.gen_u32_below(6),
+                    rng.gen_u32_below(9),
+                    rng.gen_u32_below(5),
+                    rng.gen_u32_below(7),
+                ];
+                Record::new(&vals, i * 1_000)
+            })
+            .collect();
+        let epoch_micros = 1_000_000;
+        let mut flushed = Executor::new(plan, CostParams::paper(), epoch_micros, 5)
+            .with_value_source(ValueSource::Attr(3))
+            .with_snapshots();
+        let mut reference = flushed.clone();
+        let mut closes = 0;
+        for epoch in recs.chunks(1_000) {
+            flushed.run(epoch);
+            reference.run(epoch);
+            assert!(
+                flushed.tables.iter().any(|t| t.occupied() > 0),
+                "the boundary must have entries to drain"
+            );
+            flushed.flush_epoch();
+            entry_major_drain(&mut reference);
+            reference.flush_epoch();
+            closes += 1;
+            assert_eq!(flushed.table_stats(), reference.table_stats());
+            assert_eq!(flushed.report(), reference.report());
+            assert_eq!(flushed.hfta().results(), reference.hfta().results());
+            let (Some(a), Some(b)) = (flushed.latest_snapshot(), reference.latest_snapshot())
+            else {
+                panic!("both copies checkpoint at every boundary");
+            };
+            assert_eq!(
+                a.encode(),
+                b.encode(),
+                "snapshot bytes after close {closes}"
+            );
+        }
+        assert_eq!(closes, 6);
+        let report = flushed.report();
+        assert!(report.flush_probes > 0 && report.flush_evictions > 0);
+        assert!(
+            flushed.table_stats().iter().all(|(_, t)| t.collisions > 0),
+            "every table must see collisions for the order to matter"
+        );
+        // Every record reached every query exactly once.
+        let (_, hfta) = flushed.finish();
+        for q in ["AB", "A", "BC", "BD", "CD"] {
+            assert_eq!(hfta.totals(s(q)), exact_counts(&recs, s(q)), "query {q}");
         }
     }
 }

@@ -127,12 +127,48 @@ impl TableStats {
     }
 }
 
+/// One bucket: an [`Entry`] padded to exactly one 64-byte cache line.
+///
+/// Occupancy lives in the table's bitmap, not in the slot, so the slot
+/// carries no tag: the 36-byte key and the 24-byte aggregate fill one
+/// line, and a probe that compares the key and merges the aggregate
+/// touches that line alone.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(64))]
+struct Slot(Entry);
+
+// A probe touches one line only while a slot is exactly one line.
+const _: () = assert!(std::mem::size_of::<Slot>() == 64 && std::mem::align_of::<Slot>() == 64);
+
+impl Slot {
+    /// The content of a bucket whose occupancy bit is clear. Its value
+    /// is never used: a probe overwrites it before setting the bit, and
+    /// a drain skips it.
+    fn vacant() -> Slot {
+        Slot(Entry {
+            key: GroupKey::from_values(&[]),
+            agg: AggState {
+                count: 0,
+                sum: 0,
+                min: 0,
+                max: 0,
+            },
+        })
+    }
+}
+
 /// A single-slot hash table over the groups of one relation.
+///
+/// Bucket `i` is occupied exactly when bit `i % 64` of occupancy word
+/// `i / 64` is set; the bitmap is the only occupancy record. It lets
+/// [`Self::drain`] visit only occupied buckets, in ascending order, at
+/// a cost of one bit per bucket.
 #[derive(Clone, Debug)]
 pub struct LftaTable {
     attrs: AttrSet,
     seed: u64,
-    slots: Vec<Option<Entry>>,
+    slots: Vec<Slot>,
+    occupancy: Vec<u64>,
     occupied: usize,
     stats: TableStats,
 }
@@ -150,7 +186,8 @@ impl LftaTable {
         LftaTable {
             attrs,
             seed,
-            slots: vec![None; buckets],
+            slots: vec![Slot::vacant(); buckets],
+            occupancy: vec![0; buckets.div_ceil(64)],
             occupied: 0,
             stats: TableStats::default(),
         }
@@ -199,15 +236,12 @@ impl LftaTable {
     /// the reads of a batch of independent slots issue back-to-back,
     /// which is the whole point — memory-level parallelism without an
     /// architecture-specific prefetch intrinsic (the workspace denies
-    /// `unsafe`).
+    /// `unsafe`). A slot is one line, so one read brings in both the
+    /// key the probe compares and the aggregate it writes.
     #[inline]
     pub fn warm_slot(&self, idx: usize) {
-        if let Some(slot) = self.slots.get(idx) {
-            // Read the occupancy tag and the aggregate at the entry's
-            // tail: a slot spans more than one cache line, and the
-            // probe both compares the key and writes the aggregate.
-            let depth = slot.as_ref().map_or(0, |e| e.agg.count);
-            std::hint::black_box(depth);
+        if let Some(Slot(entry)) = self.slots.get(idx) {
+            std::hint::black_box(entry.agg.count);
         }
     }
 
@@ -228,36 +262,45 @@ impl LftaTable {
         debug_assert_eq!(key.arity(), self.attrs.len());
         debug_assert_eq!(idx, self.slot_of(&key));
         self.stats.probes += 1;
-        let Some(slot) = self.slots.get_mut(idx) else {
+        let (Some(word), Some(Slot(entry))) =
+            (self.occupancy.get_mut(idx / 64), self.slots.get_mut(idx))
+        else {
             // Unreachable: plans validate buckets > 0, so idx < len.
             return Probe::Hit;
         };
-        match slot {
-            Some(entry) if entry.key == key => {
-                entry.agg.merge(&agg);
-                Probe::Hit
-            }
-            Some(entry) => {
-                let evicted = *entry;
-                *entry = Entry { key, agg };
-                self.stats.collisions += 1;
-                self.stats.absorbed_before_eviction += evicted.agg.count;
-                Probe::Evicted(evicted)
-            }
-            slot @ None => {
-                *slot = Some(Entry { key, agg });
-                self.occupied += 1;
-                Probe::Inserted
-            }
+        let bit = 1u64 << (idx % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            *entry = Entry { key, agg };
+            self.occupied += 1;
+            Probe::Inserted
+        } else if entry.key == key {
+            entry.agg.merge(&agg);
+            Probe::Hit
+        } else {
+            let evicted = std::mem::replace(entry, Entry { key, agg });
+            self.stats.collisions += 1;
+            self.stats.absorbed_before_eviction += evicted.agg.count;
+            Probe::Evicted(evicted)
         }
     }
 
-    /// Removes and returns all occupied entries (end-of-epoch scan).
+    /// Removes and returns all occupied entries in ascending bucket
+    /// order (end-of-epoch flush). Walks the set bits of the occupancy
+    /// bitmap, so it reads only occupied slots and writes only the
+    /// bitmap words that had bits set.
     pub fn drain(&mut self) -> Vec<Entry> {
         let mut out = Vec::with_capacity(self.occupied);
-        for slot in &mut self.slots {
-            if let Some(e) = slot.take() {
-                out.push(e);
+        for (word, block) in self.occupancy.iter_mut().zip(self.slots.chunks(64)) {
+            if *word == 0 {
+                continue;
+            }
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                if let Some(Slot(entry)) = block.get(bits.trailing_zeros() as usize) {
+                    out.push(*entry);
+                }
+                bits &= bits - 1;
             }
         }
         self.occupied = 0;
@@ -506,6 +549,89 @@ mod tests {
         b.merge(&AggState::from_value(10));
         b.merge(&AggState::from_value(2));
         assert_eq!(a, b);
+    }
+
+    /// The table as it was before the occupancy bitmap: an `Option`
+    /// tag per slot and a drain that scans every bucket. It hashes on
+    /// its own (`hash % buckets`), so it pins [`LftaTable::slot_of`] too.
+    struct ModelTable {
+        seed: u64,
+        slots: Vec<Option<Entry>>,
+        occupied: usize,
+        stats: TableStats,
+    }
+
+    impl ModelTable {
+        fn new(buckets: usize, seed: u64) -> ModelTable {
+            ModelTable {
+                seed,
+                slots: vec![None; buckets],
+                occupied: 0,
+                stats: TableStats::default(),
+            }
+        }
+
+        fn probe(&mut self, key: GroupKey, agg: AggState) -> Probe {
+            let idx = (key.hash_with_seed(self.seed) % self.slots.len() as u64) as usize;
+            self.stats.probes += 1;
+            match &mut self.slots[idx] {
+                Some(entry) if entry.key == key => {
+                    entry.agg.merge(&agg);
+                    Probe::Hit
+                }
+                Some(entry) => {
+                    let evicted = std::mem::replace(entry, Entry { key, agg });
+                    self.stats.collisions += 1;
+                    self.stats.absorbed_before_eviction += evicted.agg.count;
+                    Probe::Evicted(evicted)
+                }
+                slot @ None => {
+                    *slot = Some(Entry { key, agg });
+                    self.occupied += 1;
+                    Probe::Inserted
+                }
+            }
+        }
+
+        fn drain(&mut self) -> Vec<Entry> {
+            self.occupied = 0;
+            self.slots.iter_mut().filter_map(Option::take).collect()
+        }
+    }
+
+    #[test]
+    fn bitmap_table_matches_option_slot_model() {
+        let ab = AttrSet::parse("AB").unwrap();
+        // Bucket counts straddle the 64-bucket occupancy word: a single
+        // bucket, one short of a word, exactly one, one over, and a
+        // partial last word on a larger table.
+        for buckets in [1usize, 63, 64, 65, 4097] {
+            let seed = 0x7AB1E ^ buckets as u64;
+            let mut table = LftaTable::new(ab, buckets, seed);
+            let mut model = ModelTable::new(buckets, seed);
+            let mut rng = msa_stream::SplitMix64::new(buckets as u64);
+            let groups = (2 * buckets) as u32;
+            // Sparse, dense and overfull epochs, so drains see isolated
+            // bits, partly full words and full words.
+            for probes in [buckets / 3 + 1, 4 * buckets, 2, 10 * buckets + 7] {
+                for _ in 0..probes {
+                    let k = key(&[rng.gen_u32_below(groups), rng.gen_u32_below(2)]);
+                    let agg = AggState::from_value(rng.gen_u32_below(1_000));
+                    assert_eq!(
+                        table.probe(k, agg),
+                        model.probe(k, agg),
+                        "{buckets} buckets"
+                    );
+                    assert_eq!(table.occupied(), model.occupied, "{buckets} buckets");
+                }
+                assert_eq!(table.stats(), model.stats, "{buckets} buckets");
+                let drained = table.drain();
+                assert_eq!(drained, model.drain(), "{buckets} buckets: drain order");
+                assert!(!drained.is_empty());
+                assert_eq!(table.occupied(), 0);
+                assert!(table.drain().is_empty(), "{buckets} buckets: second drain");
+            }
+        }
     }
 
     #[test]
