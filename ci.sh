@@ -15,7 +15,7 @@ fi
 echo "==> cargo build --offline --release"
 cargo build --offline --release --workspace
 
-# A wedged shard (a thread stuck inside one `process` call) is invisible
+# A wedged shard (a thread stuck inside one `offer_chunk` call) is invisible
 # to the in-process supervisor; the hard timeout is the outer tripwire
 # that turns a hang into a CI failure instead of a stalled pipeline.
 echo "==> cargo test --offline -q (hard timeout 1800s)"
@@ -70,10 +70,11 @@ echo "==> bound-soundness battery (reduced matrix)"
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test bounds
 
 echo "==> vectorization battery (reduced matrix)"
-# {scalar, chunked} x {chunk sizes} x {shards} x {faults} x {crash
-# points}: chunked ingestion must be bit-identical to the per-record
-# oracle in every cell — reports, per-epoch results, bounds and
-# snapshot encodings.
+# {chunk sizes} x {faults} x {guard} on one executor, and {shards} x
+# {faults} x {guard} x {crash points} through the deployment with a
+# per-shard oracle: chunked ingestion must be bit-identical to
+# per-record `process` in every cell — reports, per-epoch results,
+# bounds and snapshot encodings.
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test vectorized
 
 echo "==> adaptive-runtime battery (reduced matrix)"
@@ -91,8 +92,9 @@ MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin r
 git checkout -- results/BENCH_replan_swap.json 2>/dev/null || true
 
 echo "==> chunk-throughput bench (reduced scale)"
-# Single-shard chunked-vs-scalar ingestion; in-bench determinism gate
-# (two runs per path, chunked == scalar bit for bit). The >= 2x speedup
+# Single-shard chunked ingestion vs the per-record `process` oracle;
+# in-bench determinism gate (two runs per path, chunked == oracle bit
+# for bit). The >= 2x speedup
 # bar is asserted only at MSA_SCALE=1, so the reduced run checks
 # correctness and artifact plumbing; the committed full-scale JSON is
 # restored afterwards.
@@ -112,6 +114,18 @@ MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin s
 git checkout -- results/BENCH_shard_scaling.json 2>/dev/null || true
 if [ ! -s results/BENCH_shard_scaling.json ]; then
     echo "error: results/BENCH_shard_scaling.json missing or empty" >&2
+    exit 1
+fi
+
+echo "==> recovery-latency bench (reduced scale)"
+# Replay distance of a supervised restart at every decile of the last
+# shard's partition across 1/2/4/8 shards; two drilled runs per shard
+# count are asserted bit-identical (health ledger included) inside the
+# bench. The committed full-scale JSON is restored afterwards.
+MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin recovery_latency
+git checkout -- results/BENCH_recovery_latency.json 2>/dev/null || true
+if [ ! -s results/BENCH_recovery_latency.json ]; then
+    echo "error: results/BENCH_recovery_latency.json missing or empty" >&2
     exit 1
 fi
 

@@ -70,9 +70,16 @@ fn build(plan: &PhysicalPlan) -> Executor {
     Executor::new(plan.clone(), CostParams::paper(), EPOCH_MICROS, seed())
 }
 
-fn run_scalar(plan: &PhysicalPlan, records: &[Record]) -> (RunReport, Hfta) {
+/// The per-record oracle path, [`Executor::process`].
+fn process_all(ex: &mut Executor, records: &[Record]) {
+    for r in records {
+        ex.process(r);
+    }
+}
+
+fn run_oracle(plan: &PhysicalPlan, records: &[Record]) -> (RunReport, Hfta) {
     let mut ex = build(plan);
-    ex.run(records);
+    process_all(&mut ex, records);
     ex.finish()
 }
 
@@ -86,7 +93,7 @@ fn chunk_stream(records: &[Record], size: usize) -> Vec<RecordChunk> {
         .collect()
 }
 
-fn run_chunked(plan: &PhysicalPlan, chunks: &[RecordChunk]) -> (RunReport, Hfta) {
+fn run_chunks(plan: &PhysicalPlan, chunks: &[RecordChunk]) -> (RunReport, Hfta) {
     let mut ex = build(plan);
     for c in chunks {
         ex.offer_chunk(c);
@@ -131,13 +138,13 @@ fn main() -> Result<(), MsaError> {
 
     // Determinism gate: both paths, twice each, bit-identical outputs —
     // and the chunked output equal to the scalar one.
-    let (sr1, sh1) = run_scalar(&plan, &records);
-    let (sr2, sh2) = run_scalar(&plan, &records);
+    let (sr1, sh1) = run_oracle(&plan, &records);
+    let (sr2, sh2) = run_oracle(&plan, &records);
     assert_eq!(sr1, sr2, "scalar runs differ");
     assert_eq!(sh1.results(), sh2.results(), "scalar runs differ");
     let window = chunk_stream(&records, PROCESSING_WINDOW_SIZE);
-    let (cr1, ch1) = run_chunked(&plan, &window);
-    let (cr2, ch2) = run_chunked(&plan, &window);
+    let (cr1, ch1) = run_chunks(&plan, &window);
+    let (cr2, ch2) = run_chunks(&plan, &window);
     assert_eq!(cr1, cr2, "chunked runs differ");
     assert_eq!(ch1.results(), ch2.results(), "chunked runs differ");
     assert_eq!(cr1, sr1, "chunked report != scalar report");
@@ -145,7 +152,7 @@ fn main() -> Result<(), MsaError> {
     assert_eq!(sr1.records, n as u64);
     println!("determinism: scalar == chunked, bit for bit, across repeat runs");
 
-    let scalar_secs = time_runs(&plan, |ex| ex.run(&records));
+    let scalar_secs = time_runs(&plan, |ex| process_all(ex, &records));
     let mut rows = vec![Row {
         label: "scalar".into(),
         chunk: 1,

@@ -331,9 +331,7 @@ impl MultiAggregator {
             .map_or(self.current_epoch, |r| r.ts_micros / epoch_micros);
         let mut executor = self.build_executor(&plan, start_epoch);
         self.plan = Some(plan);
-        for r in &buffered {
-            executor.process(r);
-        }
+        executor.run(&buffered);
         self.state = State::Running(executor);
     }
 

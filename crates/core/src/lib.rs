@@ -61,12 +61,12 @@ pub use msa_gigascope::table::AggState;
 pub use msa_gigascope::{
     shard_of, shard_seed, BoundsReport, Burst, ChannelFaults, CheckpointStore, CostParams,
     CrashPlan, DegradationPolicy, DriftKind, DriftPlan, EvictionChannel, Executor, ExecutorConfig,
-    FaultPlan, GuardLevel, GuardPolicy, GuardTransition, HandoffViolation, Hfta, Ingest,
-    IngestMode, LossBreakdown, LossClass, OverloadGuard, PhysicalPlan, PoisonRecord, QueryBounds,
-    RecoveredArtifacts, RecoveryError, RollbackReason, RunReport, ScrubReport, ShardError,
-    ShardFault, ShardHealth, ShardHeartbeat, ShardState, ShardedExecutor, ShardedSnapshot,
-    ShedDecision, Snapshot, SnapshotError, StoreHandle, StoreRecovery, StoreStats,
-    SupervisorPolicy, SwapCrashPoint, SwapError, SwapFault, SwapOutcome, SwapReport,
+    FaultPlan, GuardLevel, GuardPolicy, GuardTransition, HandoffViolation, Hfta, LossBreakdown,
+    LossClass, OverloadGuard, PhysicalPlan, PoisonRecord, QueryBounds, RecoveredArtifacts,
+    RecoveryError, RollbackReason, RunReport, ScrubReport, ShardError, ShardFault, ShardHealth,
+    ShardHeartbeat, ShardState, ShardedExecutor, ShardedSnapshot, ShedDecision, Snapshot,
+    SnapshotError, StoreHandle, StoreRecovery, StoreStats, SupervisorPolicy, SwapCrashPoint,
+    SwapError, SwapFault, SwapOutcome, SwapReport,
 };
 pub use msa_optimizer::{
     propose_replan, Algorithm, AllocStrategy, ClusterHandling, Configuration, Plan, Planner,

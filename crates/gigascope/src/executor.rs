@@ -29,7 +29,7 @@ use crate::store::{ChainHead, StoreHandle};
 use crate::table::{AggState, Entry, LftaTable, Probe, TableStats};
 use crate::CostParams;
 use msa_stream::hash::mix64;
-use msa_stream::{AttrSet, Filter, GroupKey, Record, RecordChunk};
+use msa_stream::{AttrSet, Filter, GroupKey, Record, RecordChunk, PROCESSING_WINDOW_SIZE};
 
 /// Where a record's metric value (e.g. packet length) comes from.
 ///
@@ -54,33 +54,6 @@ impl ValueSource {
                 AggState::from_value(record.attrs.get(i as usize).copied().unwrap_or(0))
             }
         }
-    }
-}
-
-/// Uniform ingestion surface over the scalar and chunked paths.
-///
-/// The differential battery (`tests/vectorized.rs`) drives the same
-/// workload through both methods of this trait and asserts bit-identical
-/// reports, bounds and snapshots: [`Ingest::offer`] is the per-record
-/// oracle, [`Ingest::offer_chunk`] the columnar fast path.
-pub trait Ingest {
-    /// Processes one record (the scalar oracle path).
-    fn offer(&mut self, record: &Record);
-
-    /// Processes a columnar chunk, observationally identical to
-    /// offering every lane in order.
-    fn offer_chunk(&mut self, chunk: &RecordChunk);
-}
-
-impl Ingest for Executor {
-    #[inline]
-    fn offer(&mut self, record: &Record) {
-        self.process(record);
-    }
-
-    #[inline]
-    fn offer_chunk(&mut self, chunk: &RecordChunk) {
-        Executor::offer_chunk(self, chunk);
     }
 }
 
@@ -856,6 +829,10 @@ impl Executor {
     }
 
     /// Processes one record, closing epochs as its timestamp dictates.
+    ///
+    /// The per-record reference path: production ingestion goes through
+    /// [`Executor::offer_chunk`], which the differential tests compare
+    /// against this oracle.
     #[inline]
     pub fn process(&mut self, record: &Record) {
         if self.crashed {
@@ -930,13 +907,15 @@ impl Executor {
         }
     }
 
-    /// Processes a batch of records (stops early if a crash fuse fires).
+    /// Processes a batch of records, [`PROCESSING_WINDOW_SIZE`] lanes at
+    /// a time through [`Executor::offer_chunk`] (stops early if a crash
+    /// fuse fires).
     pub fn run(&mut self, records: &[Record]) {
-        for r in records {
+        for batch in records.chunks(PROCESSING_WINDOW_SIZE) {
             if self.crashed {
                 break;
             }
-            self.process(r);
+            self.offer_chunk(&RecordChunk::from_records(batch));
         }
     }
 
@@ -1007,17 +986,6 @@ impl Executor {
                 return;
             }
             i = j;
-        }
-    }
-
-    /// Feeds `records` through [`Executor::offer_chunk`] in chunks of
-    /// `chunk_size` lanes (the chunked analogue of [`Executor::run`]).
-    pub fn run_chunked(&mut self, records: &[Record], chunk_size: usize) {
-        for batch in records.chunks(chunk_size.max(1)) {
-            if self.crashed {
-                break;
-            }
-            self.offer_chunk(&RecordChunk::from_records(batch));
         }
     }
 

@@ -97,8 +97,9 @@ impl CrashPlan {
 /// A declarative shard-level fault: the disturbances the shard
 /// supervisor ([`crate::supervise`]) must absorb without aborting the
 /// deployment. Both fuses count **shard-local** record indices (the
-/// position in the shard's own partition), so a fault measured on a
-/// baseline run lands at the identical pipeline state when replayed.
+/// position in the shard's own partition, counted across `run` calls),
+/// so a fault measured on a baseline run lands at the identical
+/// pipeline state when replayed.
 ///
 /// * **panic** — the shard thread panics right before processing the
 ///   record at `panic_at_record`, `panic_times` consecutive times. One

@@ -77,14 +77,14 @@ pub mod table;
 
 pub use bounds::{BoundsReport, LossBreakdown, LossClass, QueryBounds};
 pub use channel::{ChannelFaults, ChannelStats, Delivery, EvictionChannel};
-pub use executor::{Executor, ExecutorConfig, Ingest, RunReport, ValueSource};
+pub use executor::{Executor, ExecutorConfig, RunReport, ValueSource};
 pub use faults::{Burst, CrashPlan, DriftKind, DriftPlan, FaultPlan, ShardFault};
 pub use guard::{
     DegradationPolicy, GuardLevel, GuardPolicy, GuardTransition, OverloadGuard, ShedDecision,
 };
 pub use hfta::Hfta;
 pub use plan::{PhysicalPlan, PlanNode};
-pub use shard::{shard_of, shard_seed, IngestMode, ShardError, ShardedExecutor};
+pub use shard::{shard_of, shard_seed, ShardError, ShardedExecutor};
 pub use snapshot::{RecoveryError, ShardedSnapshot, Snapshot, SnapshotError};
 pub use store::{
     CheckpointStore, RecoveredArtifacts, ScrubReport, StoreHandle, StoreRecovery, StoreStats,

@@ -42,7 +42,7 @@ use crate::swap::{
 use crate::table::TableStats;
 use crate::CostParams;
 use msa_stream::hash::mix64;
-use msa_stream::{AttrSet, Filter, Record, RecordChunk};
+use msa_stream::{AttrSet, Filter, Record, RecordChunk, PROCESSING_WINDOW_SIZE};
 use std::sync::Arc;
 
 /// Domain-separation salt for the partitioner's hash chain.
@@ -52,9 +52,7 @@ const SHARD_SEED_SALT: u64 = 0x5348_4152_4453_4544;
 /// Domain-separation salt for per-shard fault-plan seeds.
 const FAULT_SEED_SALT: u64 = 0x5348_4152_4446_4C54;
 
-/// Records fed to a shard per channel message.
-const FEED_BATCH: usize = 256;
-/// Bounded SPSC depth, in batches, per shard feed.
+/// Bounded SPSC depth, in chunks, per shard feed.
 const FEED_DEPTH: usize = 4;
 
 /// The shard a record belongs to: a pure function of the root seed and
@@ -94,26 +92,6 @@ fn fault_seed(root_seed: u64, k: usize, n: usize) -> u64 {
     }
 }
 
-/// How [`ShardedExecutor::run`] feeds records to the shard executors.
-///
-/// Both modes produce bit-identical outputs (the differential battery
-/// in `tests/vectorized.rs` holds that line); the knob exists so the
-/// scalar oracle stays drivable and every pre-existing deployment keeps
-/// its exact behavior by default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IngestMode {
-    /// Per-record scalar ingestion (the oracle path).
-    #[default]
-    Scalar,
-    /// Columnar [`RecordChunk`]s of `size` lanes through the vectorized
-    /// probe: the router partitions chunk-at-a-time and re-chunks per
-    /// shard, workers drain whole chunks per panic boundary.
-    Chunked {
-        /// Lanes per chunk (clamped to at least 1).
-        size: usize,
-    },
-}
-
 /// Sharded-deployment construction failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardError {
@@ -145,7 +123,6 @@ pub struct ShardedExecutor {
     crashes: Vec<CrashPlan>,
     shard_faults: Vec<ShardFault>,
     policy: SupervisorPolicy,
-    ingest: IngestMode,
     /// Per-shard durable stores (empty = in-memory durability only).
     /// Shard `k` persists through `stores[k]`; a deployment may attach
     /// fewer stores than shards, leaving the tail un-stored.
@@ -180,7 +157,6 @@ impl ShardedExecutor {
             crashes: vec![CrashPlan::none(); shards],
             shard_faults: vec![ShardFault::none(); shards],
             policy: SupervisorPolicy::default(),
-            ingest: IngestMode::Scalar,
             stores: Vec::new(),
             shards: Vec::new(),
             health: vec![ShardHealth::default(); shards],
@@ -310,7 +286,8 @@ impl ShardedExecutor {
     /// Arms a supervised [`ShardFault`] on shard `k`: an injected panic
     /// or stall the shard supervisor must absorb (restart, quarantine
     /// or explicit degradation) without aborting the deployment. Fuse
-    /// indices are shard-local, like crash fuses.
+    /// indices are shard-local and count the whole partition across
+    /// `run` calls, like crash fuses.
     pub fn with_shard_fault(mut self, k: usize, fault: ShardFault) -> ShardedExecutor {
         self.shard_faults[k] = fault;
         self.rebuild();
@@ -322,13 +299,6 @@ impl ShardedExecutor {
     pub fn with_supervision(mut self, policy: SupervisorPolicy) -> ShardedExecutor {
         self.policy = policy;
         self.rebuild();
-        self
-    }
-
-    /// Selects the ingestion path (see [`IngestMode`]). Pure feed
-    /// plumbing — no executor state depends on it, so no rebuild.
-    pub fn with_ingest(mut self, mode: IngestMode) -> ShardedExecutor {
-        self.ingest = mode;
         self
     }
 
@@ -386,174 +356,20 @@ impl ShardedExecutor {
     }
 
     /// Streams `records` through the deployment: the caller's thread
-    /// routes each record to its shard's bounded SPSC feed (in stream
-    /// order), one OS thread per shard drains its feed into its
-    /// executor, and every executor is joined back before returning —
-    /// so the post-run state is a plain deterministic value whatever
-    /// the scheduler did.
+    /// routes each record, in stream order, into its shard's columnar
+    /// [`RecordChunk`] builder, and a chunk of
+    /// [`PROCESSING_WINDOW_SIZE`] lanes ships to the shard's bounded
+    /// SPSC feed the moment it fills (the final, partial chunk of every
+    /// shard ships at feed close). One OS thread per shard drains its
+    /// feed into its executor through the supervision loop, and every
+    /// executor is joined back before returning — so the post-run state
+    /// is a plain deterministic value whatever the scheduler did.
     pub fn run(&mut self, records: &[Record]) {
-        match self.ingest {
-            IngestMode::Scalar => self.run_scalar(records),
-            IngestMode::Chunked { size } => self.run_chunked(records, size),
-        }
-    }
-
-    /// The per-record feed path (see [`IngestMode::Scalar`]).
-    fn run_scalar(&mut self, records: &[Record]) {
-        if self.n == 1 {
-            if self.shard_faults.first().is_some_and(|f| f.is_none()) {
-                // Single healthy shard: the serial fast path,
-                // bit-identical to the plain executor (no threads, no
-                // channel hop, no supervision overhead).
-                if let Some(ex) = self.shards.first_mut() {
-                    ex.run(records);
-                }
-                return;
-            }
-            // Single shard with an armed fault: run the supervision
-            // loop inline on the caller's thread — same state machine,
-            // no thread to isolate.
-            let Some(heartbeat) = self.heartbeats.first().map(Arc::clone) else {
-                return;
-            };
-            if let Some(ex) = self.shards.pop() {
-                let mut driver = ShardDriver::new(
-                    0,
-                    self.shard_config(0),
-                    ex,
-                    self.shard_faults
-                        .first()
-                        .copied()
-                        .unwrap_or_else(ShardFault::none),
-                    self.policy,
-                    heartbeat,
-                );
-                for batch in records.chunks(FEED_BATCH) {
-                    driver.offer(batch);
-                }
-                let (ex, health) = driver.close();
-                self.shards.push(ex);
-                if let Some(h) = self.health.first_mut() {
-                    h.absorb(&health);
-                }
-            }
-            return;
-        }
-        let executors = std::mem::take(&mut self.shards);
-        let root_seed = self.config.seed;
-        let n = self.n;
-        let configs: Vec<ExecutorConfig> = (0..n).map(|k| self.shard_config(k)).collect();
-        let policy = self.policy;
-        let finished = std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for (k, (ex, cfg)) in executors.into_iter().zip(configs).enumerate() {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<Record>>(FEED_DEPTH);
-                senders.push(tx);
-                let fault = self
-                    .shard_faults
-                    .get(k)
-                    .copied()
-                    .unwrap_or_else(ShardFault::none);
-                let Some(heartbeat) = self.heartbeats.get(k).map(Arc::clone) else {
-                    continue;
-                };
-                handles.push(scope.spawn(move || {
-                    // Every worker runs the supervision loop: records
-                    // are processed inside supervise.rs's panic
-                    // boundary, so a dying shard restarts from its
-                    // checkpoint instead of killing the deployment.
-                    let mut driver = ShardDriver::new(k, cfg, ex, fault, policy, heartbeat);
-                    while let Ok(batch) = rx.recv() {
-                        driver.offer(&batch);
-                    }
-                    driver.close()
-                }));
-            }
-            let mut bufs: Vec<Vec<Record>> =
-                (0..n).map(|_| Vec::with_capacity(FEED_BATCH)).collect();
-            for &r in records {
-                let k = shard_of(root_seed, &r, n);
-                let Some(buf) = bufs.get_mut(k) else { continue };
-                buf.push(r);
-                if buf.len() == FEED_BATCH {
-                    let full = std::mem::replace(buf, Vec::with_capacity(FEED_BATCH));
-                    // A send only fails if the shard thread died; the
-                    // join below surfaces the failure.
-                    if let Some(tx) = senders.get(k) {
-                        let _ = tx.send(full);
-                    }
-                }
-            }
-            for (tx, buf) in senders.iter().zip(bufs) {
-                if !buf.is_empty() {
-                    let _ = tx.send(buf);
-                }
-            }
-            drop(senders);
-            let mut out = Vec::with_capacity(n);
-            for (k, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(result) => out.push(result),
-                    // The supervision boundary lives inside the driver;
-                    // an unwind escaping it is a supervisor bug, not a
-                    // shard fault, and must not be re-raised quietly.
-                    Err(_) => panic!("shard {k} worker died outside the supervision boundary"),
-                }
-            }
-            out
-        });
-        for (k, (ex, health)) in finished.into_iter().enumerate() {
-            self.shards.push(ex);
-            if let Some(h) = self.health.get_mut(k) {
-                h.absorb(&health);
-            }
-        }
-    }
-
-    /// The columnar feed path (see [`IngestMode::Chunked`]): the router
-    /// partitions chunk-at-a-time — records route in stream order into
-    /// per-shard [`RecordChunk`] builders, and a shard's chunk ships
-    /// the moment it fills — so workers receive ready-to-probe columnar
-    /// batches. The final, partially-filled chunk of every shard is
-    /// flushed at feed close, never dropped.
-    fn run_chunked(&mut self, records: &[Record], size: usize) {
-        let size = size.max(1);
-        if self.n == 1 {
-            if self.shard_faults.first().is_some_and(|f| f.is_none()) {
-                // Single healthy shard: the vectorized probe without
-                // threads, channel hops or supervision overhead.
-                if let Some(ex) = self.shards.first_mut() {
-                    ex.run_chunked(records, size);
-                }
-                return;
-            }
-            // Single shard with an armed fault: the inline supervision
-            // loop, fed columnar (the driver falls back to the
-            // per-record pump while the drill is armed).
-            let Some(heartbeat) = self.heartbeats.first().map(Arc::clone) else {
-                return;
-            };
-            if let Some(ex) = self.shards.pop() {
-                let mut driver = ShardDriver::new(
-                    0,
-                    self.shard_config(0),
-                    ex,
-                    self.shard_faults
-                        .first()
-                        .copied()
-                        .unwrap_or_else(ShardFault::none),
-                    self.policy,
-                    heartbeat,
-                );
-                for batch in records.chunks(size) {
-                    driver.offer_chunk(&RecordChunk::from_records(batch));
-                }
-                let (ex, health) = driver.close();
-                self.shards.push(ex);
-                if let Some(h) = self.health.first_mut() {
-                    h.absorb(&health);
-                }
+        if self.n == 1 && self.shard_faults.first().is_some_and(|f| f.is_none()) {
+            // Single healthy shard: the serial executor itself, with no
+            // threads, channel hops or supervision overhead.
+            if let Some(ex) = self.shards.first_mut() {
+                ex.run(records);
             }
             return;
         }
@@ -577,21 +393,29 @@ impl ShardedExecutor {
                     continue;
                 };
                 handles.push(scope.spawn(move || {
+                    // Every worker runs the supervision loop: chunks are
+                    // processed inside supervise.rs's panic boundary, so
+                    // a dying shard restarts from its checkpoint instead
+                    // of killing the deployment.
                     let mut driver = ShardDriver::new(k, cfg, ex, fault, policy, heartbeat);
                     while let Ok(chunk) = rx.recv() {
-                        driver.offer_chunk(&chunk);
+                        driver.offer_chunk(chunk);
                     }
                     driver.close()
                 }));
             }
-            let mut bufs: Vec<RecordChunk> =
-                (0..n).map(|_| RecordChunk::with_capacity(size)).collect();
-            for &r in records {
-                let k = shard_of(root_seed, &r, n);
+            let mut bufs: Vec<RecordChunk> = (0..n)
+                .map(|_| RecordChunk::with_capacity(PROCESSING_WINDOW_SIZE))
+                .collect();
+            for r in records {
+                let k = shard_of(root_seed, r, n);
                 let Some(buf) = bufs.get_mut(k) else { continue };
-                buf.push(&r);
-                if buf.len() == size {
-                    let full = std::mem::replace(buf, RecordChunk::with_capacity(size));
+                buf.push(r);
+                if buf.len() == PROCESSING_WINDOW_SIZE {
+                    let full =
+                        std::mem::replace(buf, RecordChunk::with_capacity(PROCESSING_WINDOW_SIZE));
+                    // A send only fails if the shard thread died; the
+                    // join below surfaces the failure.
                     if let Some(tx) = senders.get(k) {
                         let _ = tx.send(full);
                     }
@@ -607,6 +431,9 @@ impl ShardedExecutor {
             for (k, handle) in handles.into_iter().enumerate() {
                 match handle.join() {
                     Ok(result) => out.push(result),
+                    // The supervision boundary lives inside the driver;
+                    // an unwind escaping it is a supervisor bug, not a
+                    // shard fault, and must not be re-raised quietly.
                     Err(_) => panic!("shard {k} worker died outside the supervision boundary"),
                 }
             }

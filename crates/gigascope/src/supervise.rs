@@ -6,11 +6,13 @@
 //! gives every shard a [`ShardDriver`] — the supervision loop its
 //! worker thread runs instead of calling `Executor::run` directly:
 //!
-//! * **panic isolation** — each record is processed inside a
-//!   `catch_unwind` boundary (this file is the only place the engine
-//!   is allowed to erect one; msa-lint rule R005 enforces the
-//!   containment). A caught panic marks the shard *dead* and triggers
-//!   a restart instead of an abort.
+//! * **panic isolation** — the records between two decision points go
+//!   to the executor as one [`RecordChunk`] inside one `catch_unwind`
+//!   boundary (this file is the only place the engine is allowed to
+//!   erect one; msa-lint rule R005 enforces the containment). A caught
+//!   panic marks the shard *dead* and triggers a restart instead of an
+//!   abort; a panic that escaped a multi-record range is first pinned
+//!   to its record by replaying that range one record per chunk.
 //! * **restart from checkpoint** — a dead or stuck shard is rebuilt
 //!   from its last epoch-aligned snapshot ([`Executor::recover`]) and
 //!   its feed is replayed from a bounded replay buffer, so the resumed
@@ -38,11 +40,13 @@
 //!   decisions must be pure functions of the input stream (msa-lint
 //!   rule D001 bans clocks from the engine), so two runs of the same
 //!   stream take identical decisions at identical points. A thread
-//!   wedged *inside* a single `process` call cannot be observed from
-//!   within; that residual case is what the CI hard timeout covers.
+//!   wedged *inside* a single `offer_chunk` call cannot be observed
+//!   from within; that residual case is what the CI hard timeout
+//!   covers.
 //!
 //! Every decision point (panic index, stall onset, deadline expiry,
-//! quarantine, buffer pruning) is keyed to shard-local record indices,
+//! quarantine, buffer pruning) is keyed to record indices into the
+//! shard's whole partition, counted across `run` calls,
 //! which makes the whole state machine — healthy → dead/stuck →
 //! restarting → quarantine/degraded — deterministic and therefore
 //! testable bit-for-bit (see `tests/supervision.rs`).
@@ -261,8 +265,8 @@ fn install_quiet_hook() {
 /// The supervision loop one shard worker runs: a panic boundary, a
 /// bounded replay buffer, the stall/poison state machine, and restart
 /// from checkpoint. Single-threaded per shard; all inputs arrive via
-/// [`ShardDriver::offer`] in partition order, so every decision is a
-/// pure function of the shard's record stream.
+/// [`ShardDriver::offer_chunk`] in partition order, so every decision
+/// is a pure function of the shard's record stream.
 pub(crate) struct ShardDriver {
     shard: usize,
     cfg: ExecutorConfig,
@@ -275,12 +279,16 @@ pub(crate) struct ShardDriver {
     /// the executor's in-memory checkpoint.
     store: Option<StoreHandle>,
     queries: Vec<AttrSet>,
-    /// Replay buffer holding shard-local records `[buf_start, received)`.
-    buf: VecDeque<Record>,
+    /// Replay buffer: the chunks received, whole, in partition order.
+    /// The front chunk starts at record `chunk_start`.
+    buf: VecDeque<RecordChunk>,
+    chunk_start: u64,
+    /// Replay floor: records below it are never replayed again. A
+    /// record index, so it may fall inside the front chunk.
     buf_start: u64,
-    /// Shard-local records fed so far.
+    /// Partition records fed so far, counted across `run` calls.
     received: u64,
-    /// Shard-local index of the next record to process. Invariant for a
+    /// Partition index of the next record to process. Invariant for a
     /// healthy shard: equals `ex.report().records` (poison and gap
     /// absorption keep it in step).
     consumed: u64,
@@ -293,14 +301,21 @@ pub(crate) struct ShardDriver {
     /// already been handled (stalls fire once).
     stalled: bool,
     stall_handled: bool,
-    /// A real panic escaped the vectorized probe: stay on the
-    /// per-record pump from here on, so the replay re-hits the death
-    /// at its exact record index.
-    scalar_fallback: bool,
+    /// A panic escaped a multi-record range ending here: records below
+    /// it are offered one per chunk, so the replay pins the death to
+    /// its exact index before the poison verdict counts it.
+    pinned_until: u64,
+    /// The executor's `records_unreplayed` when this driver took over,
+    /// so `close` reports only this segment's gaps.
+    unreplayed_base: u64,
     health: ShardHealth,
 }
 
 impl ShardDriver {
+    /// Takes over `ex` mid-partition: every index continues from the
+    /// records the executor has already seen, so fault fuses and
+    /// quarantine indices count the shard's whole partition across
+    /// `run` calls, as crash fuses do.
     pub(crate) fn new(
         shard: usize,
         cfg: ExecutorConfig,
@@ -313,6 +328,8 @@ impl ShardDriver {
         heartbeat.publish(ShardState::Healthy);
         let queries = cfg.plan.query_attrs();
         let store = ex.store_handle();
+        let seen = ex.report().records;
+        let unreplayed_base = ex.report().records_unreplayed;
         ShardDriver {
             shard,
             cfg,
@@ -323,9 +340,10 @@ impl ShardDriver {
             store,
             queries,
             buf: VecDeque::new(),
-            buf_start: 0,
-            received: 0,
-            consumed: 0,
+            chunk_start: seen,
+            buf_start: seen,
+            received: seen,
+            consumed: seen,
             panic_fires_left: if fault.panic_at_record.is_some() {
                 fault.panic_times.max(1)
             } else {
@@ -335,103 +353,24 @@ impl ShardDriver {
             panic_attempts: 0,
             stalled: false,
             stall_handled: false,
-            scalar_fallback: false,
+            pinned_until: 0,
+            unreplayed_base,
             health: ShardHealth::default(),
         }
     }
 
-    /// Feeds one batch of the shard's partition, in order, then pumps
-    /// the supervision loop as far as it can go.
-    pub(crate) fn offer(&mut self, batch: &[Record]) {
-        for &r in batch {
-            self.received += 1;
-            if !self.ex.has_crashed() {
-                // A crash-fuse "dead process" never consumes its feed;
-                // counting (not storing) its backlog keeps memory flat
-                // and lets `close` account the in-flight loss exactly.
-                self.buf.push_back(r);
-            }
+    /// Feeds the next columnar chunk of the shard's partition, then
+    /// pumps the supervision loop as far as it can go.
+    pub(crate) fn offer_chunk(&mut self, chunk: RecordChunk) {
+        self.received += chunk.len() as u64;
+        if !self.ex.has_crashed() && !chunk.is_empty() {
+            // A crash-fuse "dead process" never consumes its feed;
+            // counting (not storing) its backlog keeps memory flat and
+            // lets `close` account the in-flight loss exactly.
+            self.buf.push_back(chunk);
         }
         self.check_stall();
         self.pump();
-    }
-
-    /// Feeds one columnar chunk of the shard's partition, in order,
-    /// then pumps. When no supervision drill is armed and nothing has
-    /// ever been quarantined, the backlog drains through the
-    /// executor's vectorized probe in one pass; any complication — an
-    /// armed [`ShardFault`], a prior quarantine, an open stall, a
-    /// panic that escaped the chunked boundary — falls back to the
-    /// per-record pump, whose every decision is keyed to an exact
-    /// record index and therefore bit-identical to scalar supervision.
-    pub(crate) fn offer_chunk(&mut self, chunk: &RecordChunk) {
-        for i in 0..chunk.len() {
-            self.received += 1;
-            if !self.ex.has_crashed() {
-                if let Some(r) = chunk.get(i) {
-                    self.buf.push_back(r);
-                }
-            }
-        }
-        self.check_stall();
-        if self.chunked_eligible() {
-            self.pump_chunked();
-        } else {
-            self.pump();
-        }
-    }
-
-    /// The vectorized pump is only sound while supervision has nothing
-    /// to attribute per record: no armed drill, no quarantine history,
-    /// no open stall, no prior escaped panic.
-    fn chunked_eligible(&self) -> bool {
-        self.fault.is_none()
-            && !self.scalar_fallback
-            && !self.stalled
-            && self.health.poisoned.is_empty()
-    }
-
-    /// Drains the backlog through [`Executor::offer_chunk`], one panic
-    /// boundary per pending range.
-    fn pump_chunked(&mut self) {
-        while !self.ex.has_crashed() && self.consumed < self.received {
-            let start =
-                usize::try_from(self.consumed.saturating_sub(self.buf_start)).unwrap_or(usize::MAX);
-            let pending: RecordChunk = self.buf.iter().skip(start).copied().collect();
-            if pending.is_empty() {
-                return;
-            }
-            let before = self.ex.report().records;
-            let ex = &mut self.ex;
-            let outcome = catch_unwind(AssertUnwindSafe(|| ex.offer_chunk(&pending)));
-            match outcome {
-                Ok(()) => {
-                    let processed = self.ex.report().records.saturating_sub(before);
-                    self.consumed += processed;
-                    self.heartbeat.beat(self.consumed);
-                    self.prune();
-                    if processed == 0 {
-                        // A crash fuse fired before the first lane (the
-                        // `has_crashed` guard exits the loop), or the
-                        // chunk was consumed without progress — never
-                        // spin either way.
-                        return;
-                    }
-                }
-                Err(_) => {
-                    // A real panic escaped the vectorized probe: restart
-                    // from the checkpoint and replay per record, which
-                    // re-hits the death at its exact index and runs the
-                    // normal poison state machine from there.
-                    self.heartbeat.publish(ShardState::Dead);
-                    self.health.panics_caught += 1;
-                    self.scalar_fallback = true;
-                    self.restart();
-                    self.pump();
-                    return;
-                }
-            }
-        }
     }
 
     /// Feed closed: resolve any open stall (the deadline authority —
@@ -449,14 +388,21 @@ impl ShardDriver {
         }
         self.heartbeat.publish(ShardState::Done);
         self.health.state = ShardState::Done;
-        self.health.records_unreplayed = self.ex.report().records_unreplayed;
+        self.health.records_unreplayed = self
+            .ex
+            .report()
+            .records_unreplayed
+            .saturating_sub(self.unreplayed_base);
         (self.ex, self.health)
     }
 
     /// Processes everything available, stopping at a stall or a
     /// crash-fuse death (which supervision deliberately leaves for
     /// manual recovery — `CrashPlan` models a dead *process*, not a
-    /// dead thread).
+    /// dead thread). The records up to the next decision point go to
+    /// the executor as one chunk inside one panic boundary; decisions
+    /// (quarantine, stall onset, injected panic) are taken at their
+    /// exact record index between ranges.
     fn pump(&mut self) {
         while !self.stalled && !self.ex.has_crashed() && self.consumed < self.received {
             let i = self.consumed;
@@ -474,34 +420,93 @@ impl ShardDriver {
                 self.check_stall();
                 continue;
             }
-            let outcome = if self.panic_fires_left > 0 && self.fault.panic_at_record == Some(i) {
-                // Raise the injected death inside the same boundary a
-                // real one would hit.
-                catch_unwind(|| panic_any(InjectedShardPanic))
-            } else {
-                let rec = self.buf[(i - self.buf_start) as usize];
-                let ex = &mut self.ex;
-                catch_unwind(AssertUnwindSafe(|| ex.process(&rec)))
+            let injected = self.panic_fires_left > 0 && self.fault.panic_at_record == Some(i);
+            let Some((chunk, from)) = locate(&self.buf, self.chunk_start, i) else {
+                return;
             };
+            let whole = chunk_end(chunk, from);
+            let end = if injected {
+                i + 1
+            } else {
+                whole.min(self.next_decision(i))
+            };
+            // Offer the received chunk itself unless a decision point or
+            // a replay point cuts it.
+            let cut: RecordChunk;
+            let range = if i == from && end == whole {
+                chunk
+            } else {
+                let lanes = lane(i - from)..lane(end - from);
+                cut = lanes.filter_map(|l| chunk.get(l)).collect();
+                &cut
+            };
+            let before = self.ex.report().records;
+            let ex = &mut self.ex;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if injected {
+                    // Raise the injected death inside the same boundary
+                    // a real one would hit.
+                    panic_any(InjectedShardPanic);
+                }
+                ex.offer_chunk(range);
+            }));
             match outcome {
                 Ok(()) => {
-                    self.consumed += 1;
+                    let processed = self.ex.report().records.saturating_sub(before);
+                    self.consumed += processed;
                     self.heartbeat.beat(self.consumed);
                     self.prune();
                 }
-                Err(_) => self.on_panic(i),
+                Err(_) => match range.get(0) {
+                    Some(record) if end == i + 1 => self.on_panic(i, record),
+                    _ => {
+                        // A real panic escaped a multi-record range:
+                        // restart, then replay up to its end one record
+                        // per chunk, so the death lands on its exact
+                        // index before the poison verdict counts it.
+                        self.heartbeat.publish(ShardState::Dead);
+                        self.health.panics_caught += 1;
+                        self.pinned_until = end;
+                        self.restart();
+                    }
+                },
             }
         }
+    }
+
+    /// The first index after `i` where supervision must decide
+    /// something: a quarantined record, the armed stall, the armed
+    /// panic, or — while pinned — the very next record.
+    fn next_decision(&self, i: u64) -> u64 {
+        if i < self.pinned_until {
+            return i + 1;
+        }
+        let armed = [
+            self.fault.stall_at_record.filter(|_| !self.stall_handled),
+            self.fault
+                .panic_at_record
+                .filter(|_| self.panic_fires_left > 0),
+        ];
+        self.health
+            .poisoned
+            .iter()
+            .map(|p| Some(p.index))
+            .chain(armed)
+            .flatten()
+            .filter(|&at| at > i)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     fn is_poisoned(&self, i: u64) -> bool {
         self.health.poisoned.iter().any(|p| p.index == i)
     }
 
-    /// A panic escaped `process` (or the injected fuse fired) at
-    /// shard-local index `i`: track consecutive kills, quarantine at
-    /// the threshold, and restart from the checkpoint either way.
-    fn on_panic(&mut self, i: u64) {
+    /// A panic escaped the one-record range at partition index `i` (or
+    /// the injected fuse fired there): track consecutive kills,
+    /// quarantine `record` at the threshold, and restart from the
+    /// checkpoint either way.
+    fn on_panic(&mut self, i: u64, record: Record) {
         self.heartbeat.publish(ShardState::Dead);
         self.health.panics_caught += 1;
         if self.fault.panic_at_record == Some(i) && self.panic_fires_left > 0 {
@@ -514,7 +519,6 @@ impl ShardDriver {
             self.panic_attempts = 1;
         }
         if self.panic_attempts >= self.policy.poison_threshold {
-            let record = self.buf[(i - self.buf_start) as usize];
             self.health.poisoned.push(PoisonRecord {
                 shard: self.shard,
                 index: i,
@@ -624,15 +628,45 @@ impl ShardDriver {
     /// Advances the replay buffer's floor: nothing below the latest
     /// checkpoint's high-water mark is ever replayed again, and the
     /// processed prefix behind the consumption point is bounded by
-    /// [`SupervisorPolicy::replay_capacity`].
+    /// [`SupervisorPolicy::replay_capacity`]. The floor is exact in
+    /// records; only whole chunks below it leave the buffer.
     fn prune(&mut self) {
         let hwm = self.ex.latest_snapshot().map_or(0, |snap| snap.records_hwm);
         let floor = hwm
             .max(self.consumed.saturating_sub(self.policy.replay_capacity))
             .min(self.consumed);
-        while self.buf_start < floor {
+        self.buf_start = self.buf_start.max(floor);
+        while let Some(front) = self.buf.front() {
+            let end = chunk_end(front, self.chunk_start);
+            if end > self.buf_start {
+                break;
+            }
+            self.chunk_start = end;
             self.buf.pop_front();
-            self.buf_start += 1;
         }
     }
+}
+
+/// The chunk of `buf` (whose front chunk starts at record `from`)
+/// holding record `i`, and the index of its first record.
+fn locate(buf: &VecDeque<RecordChunk>, mut from: u64, i: u64) -> Option<(&RecordChunk, u64)> {
+    for chunk in buf {
+        let end = chunk_end(chunk, from);
+        if i < end {
+            return Some((chunk, from));
+        }
+        from = end;
+    }
+    None
+}
+
+/// Index one past the last record of `chunk`, which starts at `from`.
+fn chunk_end(chunk: &RecordChunk, from: u64) -> u64 {
+    from + chunk.len() as u64
+}
+
+/// A within-chunk offset as a lane index (chunks hold far fewer than
+/// `usize::MAX` lanes).
+fn lane(offset: u64) -> usize {
+    usize::try_from(offset).unwrap_or(usize::MAX)
 }

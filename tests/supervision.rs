@@ -18,8 +18,9 @@
 //! differential battery.
 
 use msa_core::{
-    AttrSet, CostParams, CrashPlan, GuardPolicy, Record, RunReport, ShardFault, ShardState,
-    ShardedExecutor, SupervisorPolicy,
+    shard_of, AttrSet, CheckpointStore, CostParams, CrashPlan, GuardPolicy, Record, RunReport,
+    ShardFault, ShardState, ShardedExecutor, SimBackend, StorageBackend, StoreError, StoreHandle,
+    SupervisorPolicy,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -367,62 +368,239 @@ fn heartbeats_report_progress_and_final_state() {
     assert_eq!(report.shard_restarts, 0);
 }
 
-/// Satellite: a poison record arriving *inside a chunk* quarantines
-/// exactly that one record. The chunked feed re-chunks per shard, the
-/// supervisor drops to per-record replay around the armed fault, and
-/// every ledger — quarantine index, replay counters, bias identity —
-/// is bit-identical to the scalar feed's quarantine, at every chunk
-/// size that places the poisoned lane somewhere different inside its
-/// chunk.
+/// A poison record arriving *inside a chunk* quarantines exactly that
+/// one record. The supervisor cuts the shard's chunks at the armed
+/// index and replays around it, and the chunk boundary leaks into
+/// nothing: at every position of the poisoned record — first, second,
+/// mid-partition, last — the run matches a fault-free run of the same
+/// stream without that record, apart from the poison and restart
+/// counters.
 #[test]
 fn poison_inside_a_chunk_quarantines_exactly_one_record() {
-    use msa_core::IngestMode;
     let records = stream(scale());
     let n = 4;
     let target = n - 1;
     let len = part_len(n, &records);
-    let fault = ShardFault::panic_repeating(len / 2, 8);
     let policy = SupervisorPolicy::default();
-    let scalar = drill(n, false, fault, policy, &records);
-    for size in [7usize, 64, 1024] {
-        let label = format!("chunk={size}");
-        let run = || {
-            let mut sx = build(n, false)
-                .with_ingest(IngestMode::Chunked { size })
-                .with_shard_fault(target, fault)
-                .with_supervision(policy);
-            sx.run(&records);
-            let health = sx.shard_health(target).clone();
-            let final_state = sx.heartbeat(target).state();
-            let (report, hfta) = sx.finish();
-            Drilled {
-                report,
-                hfta,
-                health,
-                final_state,
-            }
-        };
-        let d1 = run();
-        let d2 = run();
+    for p in [0, 1, len / 2, len - 1] {
+        let label = format!("poison at {p}");
+        let fault = ShardFault::panic_repeating(p, 8);
+        let d1 = drill(n, false, fault, policy, &records);
+        let d2 = drill(n, false, fault, policy, &records);
         assert_eq!(d1.report, d2.report, "{label}: determinism");
         assert_eq!(d1.hfta.results(), d2.hfta.results(), "{label}");
         assert_eq!(d1.health, d2.health, "{label}");
-        // Bit-identical to the scalar-feed drill: the chunk boundary
-        // around the poisoned lane leaks into nothing.
-        assert_eq!(d1.report, scalar.report, "{label}: report vs scalar feed");
-        assert_eq!(
-            d1.hfta.results(),
-            scalar.hfta.results(),
-            "{label}: results vs scalar feed"
-        );
-        assert_eq!(d1.health, scalar.health, "{label}: health vs scalar feed");
         // Exactly one record quarantined, at the armed index; the rest
         // of its chunk replays.
         assert_eq!(d1.report.records_poisoned, 1, "{label}");
         assert_eq!(d1.health.poisoned.len(), 1, "{label}");
-        assert_eq!(d1.health.poisoned[0].index, len / 2, "{label}");
+        assert_eq!(d1.health.poisoned[0].index, p, "{label}");
         assert_eq!(d1.report.records, records.len() as u64, "{label}");
         assert_eq!(d1.final_state, ShardState::Done, "{label}");
         assert_bias_identity(&label, &d1.report, &d1.hfta, records.len());
+        // The same stream with the poisoned record cut out, fault-free.
+        let at = records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| shard_of(SEED, r, n) == target)
+            .nth(p as usize)
+            .map(|(at, _)| at)
+            .unwrap();
+        let mut without = records.clone();
+        let poisoned = without.remove(at);
+        assert_eq!(d1.health.poisoned[0].record, poisoned, "{label}");
+        let mut clean = build(n, false);
+        clean.run(&without);
+        let (clean_report, clean_hfta) = clean.finish();
+        let mut scrubbed = d1.report.clone();
+        scrubbed.records -= 1;
+        scrubbed.records_poisoned = 0;
+        scrubbed.shard_restarts = 0;
+        assert_eq!(
+            scrubbed, clean_report,
+            "{label}: report vs stream without it"
+        );
+        assert_eq!(
+            d1.hfta.results(),
+            clean_hfta.results(),
+            "{label}: results vs stream without it"
+        );
     }
+}
+
+/// Supervised shards keep counting across `run` calls: fault fuses and
+/// quarantine indices count the shard's whole partition, so an armed
+/// panic fires once whichever call reaches it, a restart in a later
+/// call replays only that call's records, and every unreplayed record
+/// is counted once. Cells: {panic in the first call, in the second} ×
+/// {default replay capacity, capacity 0}.
+#[test]
+fn repeated_runs_count_fault_indices_across_the_whole_partition() {
+    let records = stream(scale());
+    let n = 2;
+    let target = n - 1;
+    let len = part_len(n, &records);
+    let half = records.len() / 2;
+    let mut base = build(n, false);
+    base.run(&records);
+    let (base_report, base_hfta) = base.finish();
+    for (cname, at) in [("first call", len / 8), ("second call", 3 * len / 4)] {
+        for capacity in [SupervisorPolicy::default().replay_capacity, 0] {
+            let label = format!("panic in the {cname}/replay capacity {capacity}");
+            let mut sx = build(n, false)
+                .with_shard_fault(target, ShardFault::panic_at(at))
+                .with_supervision(SupervisorPolicy::default().with_replay_capacity(capacity));
+            sx.run(&records[..half]);
+            sx.run(&records[half..]);
+            let health = sx.shard_health(target).clone();
+            let (report, hfta) = sx.finish();
+            assert_eq!(report.records, records.len() as u64, "{label}");
+            assert_bias_identity(&label, &report, &hfta, records.len());
+            assert_eq!(
+                health.records_unreplayed, report.records_unreplayed,
+                "{label}: health and report agree on the gap"
+            );
+            assert_eq!(health.panics_caught, 1, "{label}");
+            if capacity == 0 {
+                assert!(health.records_unreplayed > 0, "{label}: a gap opened");
+            } else {
+                let mut scrubbed = report.clone();
+                assert_eq!(scrubbed.shard_restarts, 1, "{label}");
+                scrubbed.shard_restarts = 0;
+                assert_eq!(scrubbed, base_report, "{label}: report vs fault-free");
+                assert_eq!(
+                    hfta.results(),
+                    base_hfta.results(),
+                    "{label}: results vs fault-free"
+                );
+            }
+        }
+    }
+}
+
+/// A simulated disk whose `write_atomic` calls numbered in `dying`
+/// (1-based) panic before touching anything: a real panic raised from
+/// inside a shard's epoch close, in the middle of a chunk.
+#[derive(Debug)]
+struct PanickingDisk {
+    inner: SimBackend,
+    writes: u32,
+    dying: Vec<u32>,
+}
+
+/// Payload of the disk's panics, kept off stderr by [`quiet_disk_panics`].
+struct DiskPanic;
+
+fn quiet_disk_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<DiskPanic>().is_none() {
+                prev(info);
+            }
+        }));
+    });
+}
+
+impl StorageBackend for PanickingDisk {
+    fn write_atomic(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.writes += 1;
+        if self.dying.contains(&self.writes) {
+            std::panic::panic_any(DiskPanic);
+        }
+        self.inner.write_atomic(path, bytes)
+    }
+
+    fn append(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.inner.append(path, bytes)
+    }
+
+    fn sync(&mut self, path: &str) -> Result<(), StoreError> {
+        self.inner.sync(path)
+    }
+
+    fn read(&mut self, path: &str) -> Result<Vec<u8>, StoreError> {
+        self.inner.read(path)
+    }
+
+    fn list(&mut self, dir: &str) -> Result<Vec<String>, StoreError> {
+        self.inner.list(dir)
+    }
+
+    fn remove(&mut self, path: &str) -> Result<(), StoreError> {
+        self.inner.remove(path)
+    }
+
+    fn truncate(&mut self, path: &str, len: usize) -> Result<(), StoreError> {
+        self.inner.truncate(path, len)
+    }
+
+    fn corrupt(&mut self, path: &str, index: usize) -> Result<(), StoreError> {
+        self.inner.corrupt(path, index)
+    }
+
+    fn power_cut(&mut self) {
+        self.inner.power_cut();
+    }
+}
+
+/// A panic escaping the executor in the middle of a chunk — no armed
+/// fault, so the supervisor cannot know its record — is pinned to its
+/// exact record before the poison verdict counts it. The last shard's
+/// store panics on chosen writes; its fifth write is the commit of the
+/// close of epoch 1, run by the partition's first record of epoch 2.
+///
+/// * transient (fifth write only): one restart, then a clean replay,
+///   bit-identical to the fault-free run apart from `shard_restarts`;
+/// * recurring (writes 5–8): the escaped range costs one restart, then
+///   `poison_threshold` single-record kills at that record quarantine
+///   exactly it, and the ninth write goes through.
+#[test]
+fn panics_escaping_a_chunk_are_pinned_to_their_record() {
+    quiet_disk_panics();
+    let records = stream(scale());
+    let n = 2;
+    let target = n - 1;
+    let run = |dying: Vec<u32>| {
+        let disk = PanickingDisk {
+            inner: SimBackend::new(),
+            writes: 0,
+            dying,
+        };
+        let stores = vec![
+            StoreHandle::in_memory().unwrap(),
+            StoreHandle::new(CheckpointStore::open(Box::new(disk)).unwrap()),
+        ];
+        let mut sx = build(n, false).with_stores(stores);
+        sx.run(&records);
+        let health = sx.shard_health(target).clone();
+        let (report, hfta) = sx.finish();
+        (report, hfta, health)
+    };
+    let (clean_report, clean_hfta, clean_health) = run(vec![]);
+    assert_eq!(clean_health.panics_caught, 0);
+
+    let (report, hfta, health) = run(vec![5]);
+    assert_eq!((health.panics_caught, health.restarts), (1, 1), "transient");
+    assert!(health.poisoned.is_empty(), "transient");
+    let mut scrubbed = report.clone();
+    scrubbed.shard_restarts = 0;
+    assert_eq!(scrubbed, clean_report, "transient: report vs fault-free");
+    assert_eq!(hfta.results(), clean_hfta.results(), "transient: results");
+
+    let part = build(n, false).partition(&records).swap_remove(target);
+    let at = part
+        .iter()
+        .position(|r| r.ts_micros >= 2 * EPOCH)
+        .expect("the partition reaches epoch 2");
+    let (report, hfta, health) = run(vec![5, 6, 7, 8]);
+    assert_eq!((health.panics_caught, health.restarts), (4, 4), "recurring");
+    assert_eq!(health.poisoned.len(), 1, "recurring");
+    assert_eq!(health.poisoned[0].index, at as u64, "recurring");
+    assert_eq!(health.poisoned[0].record, part[at], "recurring");
+    assert_eq!(health.poisoned[0].attempts, 3, "recurring");
+    assert_eq!(report.records_poisoned, 1, "recurring");
+    assert_eq!(report.records, records.len() as u64, "recurring");
+    assert_bias_identity("recurring", &report, &hfta, records.len());
 }

@@ -1,17 +1,19 @@
 //! Differential vectorization battery: the chunked columnar LFTA path
-//! versus the scalar oracle.
+//! versus the per-record oracle, [`Executor::process`].
 //!
-//! The same seeded trace is replayed through scalar ingestion and
-//! through the chunked [`Ingest::offer_chunk`] path across the matrix
-//! {chunk sizes 1/7/64/1024} × {shard counts} × {loss, dup, burst
-//! faults} × {crash points}, asserting at every cell that the chunked
-//! path is **bit-identical** to the scalar one:
+//! The same seeded trace is replayed through both paths across the
+//! matrix {chunk sizes 1/7/64/1024} × {loss, dup, burst faults} ×
+//! {guard} on one executor, and {shard counts} × {faults} × {guard} ×
+//! {crash points} through the sharded deployment, whose feed ships
+//! 1024-lane chunks. The sharded oracle is per shard: a clone of each
+//! freshly built shard executor is fed its partition record by record.
+//! Every cell must be **bit-identical** to the oracle:
 //!
 //! * identical [`RunReport`]s (every counter, cost trace and ledger);
-//! * identical per-epoch HFTA result lists and per-group totals;
-//! * identical guaranteed error-bound reports ([`BoundsReport`]);
+//! * identical per-epoch HFTA result lists;
+//! * identical guaranteed error-bound reports;
 //! * identical durable snapshots, byte-for-byte through the
-//!   [`ShardedSnapshot`] encoding;
+//!   [`Snapshot`] and [`ShardedSnapshot`] encodings;
 //! * identical crash/recovery outcomes when a shard dies mid-chunk.
 //!
 //! Chunking is pure batching: the executor re-derives epoch boundaries
@@ -20,8 +22,8 @@
 //! `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix.
 
 use msa_core::{
-    AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Ingest, IngestMode,
-    Record, RecordChunk, RunReport, ShardedExecutor, ShardedSnapshot, ValueSource,
+    AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Record, RecordChunk,
+    RunReport, ShardedExecutor, ShardedSnapshot, Snapshot, ValueSource,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -142,12 +144,10 @@ fn build_sharded(
     faults: &Option<FaultPlan>,
     guard_on: bool,
     durable: bool,
-    ingest: IngestMode,
 ) -> ShardedExecutor {
     let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED, n)
         .unwrap()
-        .with_value_source(ValueSource::Attr(2))
-        .with_ingest(ingest);
+        .with_value_source(ValueSource::Attr(2));
     if let Some(f) = faults {
         sx = sx.with_faults(f);
     }
@@ -167,8 +167,40 @@ fn finish_serial(ex: Executor) -> (RunReport, Hfta, msa_core::BoundsReport) {
     (report, hfta, bounds)
 }
 
-/// Serial cells: {chunk size} × {fault} × {guard}, chunked through the
-/// [`Ingest`] trait versus the scalar oracle through the same trait.
+/// The per-shard oracle: a clone of every freshly built shard of `sx`
+/// (call before `sx.run`), fed its partition of `records` one record at
+/// a time through [`Executor::process`].
+fn shard_oracles(sx: &ShardedExecutor, records: &[Record]) -> Vec<Executor> {
+    sx.partition(records)
+        .iter()
+        .enumerate()
+        .map(|(k, part)| {
+            let mut ex = sx.shard(k).clone();
+            for r in part {
+                ex.process(r);
+            }
+            ex
+        })
+        .collect()
+}
+
+/// Shard `got` against its oracle: report, bounds, per-epoch results
+/// and the latest checkpoint's encoding.
+fn assert_shard_matches(label: &str, got: &Executor, want: &Executor) {
+    assert_eq!(got.report(), want.report(), "{label}: report");
+    assert_eq!(got.bounds(), want.bounds(), "{label}: bounds");
+    assert_eq!(
+        got.latest_snapshot().map(Snapshot::encode),
+        want.latest_snapshot().map(Snapshot::encode),
+        "{label}: snapshot"
+    );
+    let (_, got_hfta) = got.clone().finish();
+    let (_, want_hfta) = want.clone().finish();
+    assert_eq!(got_hfta.results(), want_hfta.results(), "{label}: results");
+}
+
+/// Serial cells: {chunk size} × {fault} × {guard}, `offer_chunk` versus
+/// the per-record oracle.
 #[test]
 fn serial_chunked_matches_scalar_oracle_bit_for_bit() {
     let scale = scale();
@@ -178,14 +210,14 @@ fn serial_chunked_matches_scalar_oracle_bit_for_bit() {
         for guard_on in [false, true] {
             let mut oracle = build_serial(&faults, guard_on);
             for r in &records {
-                Ingest::offer(&mut oracle, r);
+                oracle.process(r);
             }
             let (want_report, want_hfta, want_bounds) = finish_serial(oracle);
             for &size in &chunk_sizes(scale) {
                 let label = format!("chunk={size}/{fname}/guard={guard_on}");
                 let mut chunked = build_serial(&faults, guard_on);
                 for batch in records.chunks(size) {
-                    Ingest::offer_chunk(&mut chunked, &RecordChunk::from_records(batch));
+                    chunked.offer_chunk(&RecordChunk::from_records(batch));
                 }
                 let (got_report, got_hfta, got_bounds) = finish_serial(chunked);
                 assert_eq!(got_report, want_report, "{label}: report");
@@ -203,7 +235,9 @@ fn serial_chunked_matches_scalar_oracle_bit_for_bit() {
 fn one_giant_chunk_spans_every_epoch_boundary() {
     let base = stream(scale());
     let mut oracle = build_serial(&None, false);
-    oracle.run(&base);
+    for r in &base {
+        oracle.process(r);
+    }
     let (want_report, want_hfta, _) = finish_serial(oracle);
     let mut chunked = build_serial(&None, false);
     chunked.offer_chunk(&RecordChunk::from_records(&base));
@@ -212,10 +246,10 @@ fn one_giant_chunk_spans_every_epoch_boundary() {
     assert_eq!(got_hfta.results(), want_hfta.results());
 }
 
-/// Sharded cells: {chunk size} × {shards} × {fault} × {guard}. The
-/// chunked feed (chunk-at-a-time partitioning, per-shard re-chunking)
-/// must merge to the exact scalar-feed outputs, and two chunked
-/// threaded runs must agree bit-for-bit with each other.
+/// Sharded cells: {shards} × {fault} × {guard}. Every shard of the
+/// chunked deployment (chunk-at-a-time partitioning, supervised
+/// workers) must end bit-identical to its per-record oracle, and two
+/// threaded runs must agree bit-for-bit on the merged outputs.
 #[test]
 fn sharded_chunked_matches_scalar_feed_across_matrix() {
     let scale = scale();
@@ -224,52 +258,60 @@ fn sharded_chunked_matches_scalar_feed_across_matrix() {
         let records = disturbed(&base, &faults);
         for guard_on in [false, true] {
             for &n in &shard_counts(scale) {
-                let mut scalar = build_sharded(n, &faults, guard_on, false, IngestMode::Scalar);
-                scalar.run(&records);
-                let want_bounds = scalar.bounds();
-                let (want_report, want_hfta) = scalar.finish();
-                for &size in &chunk_sizes(scale) {
-                    let label = format!("{n} shards/chunk={size}/{fname}/guard={guard_on}");
-                    let mode = IngestMode::Chunked { size };
-                    let run = || {
-                        let mut sx = build_sharded(n, &faults, guard_on, false, mode);
-                        sx.run(&records);
-                        let bounds = sx.bounds();
-                        let (report, hfta) = sx.finish();
-                        (report, hfta, bounds)
-                    };
-                    let (r1, h1, b1) = run();
-                    let (r2, h2, b2) = run();
-                    assert_eq!(r1, r2, "{label}: two chunked runs");
-                    assert_eq!(h1.results(), h2.results(), "{label}: two chunked runs");
-                    assert_eq!(b1, b2, "{label}: two chunked runs");
-                    assert_eq!(r1, want_report, "{label}: report vs scalar");
-                    assert_eq!(h1.results(), want_hfta.results(), "{label}: results");
-                    assert_eq!(b1, want_bounds, "{label}: bounds vs scalar");
-                }
+                let label = format!("{n} shards/{fname}/guard={guard_on}");
+                let run = || {
+                    let mut sx = build_sharded(n, &faults, guard_on, true);
+                    let oracles = shard_oracles(&sx, &records);
+                    sx.run(&records);
+                    for (k, want) in oracles.iter().enumerate() {
+                        assert_shard_matches(&format!("{label}/shard {k}"), sx.shard(k), want);
+                    }
+                    let bounds = sx.bounds();
+                    let snap = sx.durable_snapshot().expect("every shard checkpoints");
+                    let (report, hfta) = sx.finish();
+                    (report, hfta, bounds, snap.encode())
+                };
+                let (r1, h1, b1, s1) = run();
+                let (r2, h2, b2, s2) = run();
+                assert_eq!(r1, r2, "{label}: two chunked runs");
+                assert_eq!(h1.results(), h2.results(), "{label}: two chunked runs");
+                assert_eq!(b1, b2, "{label}: two chunked runs");
+                assert_eq!(s1, s2, "{label}: two chunked runs");
+                assert_eq!(r1.records, records.len() as u64, "{label}");
             }
         }
     }
 }
 
-/// Crash cells: a shard dies at an armed point while fed chunked; its
-/// durable artifacts, the recovery, and the recovered outputs must all
-/// be bit-identical to the scalar-feed crash run — and to the no-crash
-/// baseline after recovery.
+/// `report` without the shutdown-loss ledger a supervised crashed shard
+/// absorbs at feed close (the per-record oracle never closes a feed).
+fn without_shutdown_loss(report: &RunReport) -> RunReport {
+    let lost = report.records_shutdown_lost;
+    RunReport {
+        records: report.records - lost,
+        records_shed: report.records_shed - lost,
+        records_shutdown_lost: 0,
+        ..report.clone()
+    }
+}
+
+/// Crash cells: a shard dies at an armed point while fed chunked. Every
+/// shard's boundary checkpoint is byte-identical to its per-record
+/// oracle's, the crashed shard's report matches the oracle's up to the
+/// shutdown ledger, and recovery lands bit-identical on the no-crash
+/// baseline.
 #[test]
 fn crashed_chunked_shards_recover_identically_to_scalar() {
     let scale = scale();
     let base = stream(scale);
-    let sizes = if scale < 0.5 { vec![7] } else { vec![7, 1024] };
     for (fname, faults) in fault_columns() {
         let records = disturbed(&base, &faults);
         for &n in &shard_counts(scale) {
             let crash_shard = n - 1;
-            let probe = build_sharded(n, &faults, false, true, IngestMode::Scalar);
+            let probe = build_sharded(n, &faults, false, true);
             let part_len = probe.partition(&records)[crash_shard].len() as u64;
-            // No-crash durable chunked baseline, with snapshot framing.
-            let mut baseline =
-                build_sharded(n, &faults, false, true, IngestMode::Chunked { size: 64 });
+            // No-crash durable baseline, with snapshot framing.
+            let mut baseline = build_sharded(n, &faults, false, true);
             baseline.run(&records);
             let snap = baseline
                 .durable_snapshot()
@@ -285,83 +327,78 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                 crash_points.truncate(2);
             }
             for (cname, crash) in crash_points {
-                // Scalar-feed crash run: the oracle's boundary checkpoint.
-                let mut scalar = build_sharded(n, &faults, false, true, IngestMode::Scalar)
-                    .with_crash(crash_shard, crash);
-                scalar.run(&records);
-                let want_snap = scalar
+                let label = format!("{n} shards/{fname}/{cname}");
+                let mut sx = build_sharded(n, &faults, false, true).with_crash(crash_shard, crash);
+                let oracles = shard_oracles(&sx, &records);
+                sx.run(&records);
+                assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
+                for (k, want) in oracles.iter().enumerate() {
+                    let got = sx.shard(k);
+                    if k == crash_shard {
+                        // The checkpoint a mid-chunk death leaves is the
+                        // oracle's, byte for byte.
+                        assert_eq!(
+                            got.latest_snapshot().map(Snapshot::encode),
+                            want.latest_snapshot().map(Snapshot::encode),
+                            "{label}: crashed shard snapshot"
+                        );
+                        assert_eq!(
+                            without_shutdown_loss(got.report()),
+                            *want.report(),
+                            "{label}: crashed shard report"
+                        );
+                    } else {
+                        assert_shard_matches(&format!("{label}/shard {k}"), got, want);
+                    }
+                }
+                let got_snap = sx
                     .latest_snapshot(crash_shard)
                     .cloned()
                     .expect("crash leaves a boundary checkpoint");
-                for &size in &sizes {
-                    let label = format!("{n} shards/chunk={size}/{fname}/{cname}");
-                    let mut sx =
-                        build_sharded(n, &faults, false, true, IngestMode::Chunked { size })
-                            .with_crash(crash_shard, crash);
-                    sx.run(&records);
-                    assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
-                    let got_snap = sx
-                        .latest_snapshot(crash_shard)
-                        .cloned()
-                        .expect("crash leaves a boundary checkpoint");
-                    // The checkpoint a mid-chunk death leaves is the
-                    // scalar one, byte for byte.
-                    assert_eq!(got_snap.encode(), want_snap.encode(), "{label}: snapshot");
-                    sx.recover_shard(crash_shard, &got_snap, &records)
-                        .expect("recovery succeeds");
-                    assert!(sx.crashed_shards().is_empty(), "{label}");
-                    let (got_report, got_hfta) = sx.finish();
-                    assert_eq!(got_report, want_report, "{label}: recovered report");
-                    assert_eq!(got_hfta.results(), want_hfta.results(), "{label}: results");
-                }
+                sx.recover_shard(crash_shard, &got_snap, &records)
+                    .expect("recovery succeeds");
+                assert!(sx.crashed_shards().is_empty(), "{label}");
+                let (got_report, got_hfta) = sx.finish();
+                assert_eq!(got_report, want_report, "{label}: recovered report");
+                assert_eq!(got_hfta.results(), want_hfta.results(), "{label}: results");
             }
         }
     }
 }
 
-/// Regression: the router's final, partially-filled chunk is flushed at
-/// feed close, never dropped — every record reaches its shard even when
-/// the stream length shares no factor with the chunk size, and a
-/// crashed shard's shutdown-loss ledger stays exact under chunked feed.
+/// Regression: the router's final, partially-filled chunk of every
+/// shard is flushed at feed close, never dropped — every record reaches
+/// its shard — and a crashed shard's shutdown-loss ledger counts
+/// exactly its unconsumed records.
 #[test]
 fn partial_final_chunk_is_flushed_and_shutdown_loss_stays_exact() {
     let scale = scale();
     let base = stream(scale);
-    // 1024 > any single shard's tail: every shard ends on a partial
-    // chunk; 997 is prime, so no boundary ever aligns.
-    for &size in &[997usize, 1024] {
-        for &n in &shard_counts(scale) {
-            let mut sx = build_sharded(n, &None, false, false, IngestMode::Chunked { size });
-            sx.run(&base);
-            let (report, _) = sx.finish();
-            assert_eq!(
-                report.records,
-                base.len() as u64,
-                "{n} shards/chunk={size}: every record of every partial chunk processed"
-            );
-        }
+    for &n in &shard_counts(scale) {
+        let mut sx = build_sharded(n, &None, false, false);
+        sx.run(&base);
+        let (report, _) = sx.finish();
+        assert_eq!(
+            report.records,
+            base.len() as u64,
+            "{n} shards: every record of every partial chunk processed"
+        );
     }
     // A shard dead mid-stream never consumes its tail — including the
     // partial final chunk. The shutdown-loss ledger must count exactly
-    // the unconsumed records, same as under scalar feed.
+    // the unconsumed records.
     let n = 2;
     let crash_shard = n - 1;
-    let probe = build_sharded(n, &None, false, true, IngestMode::Scalar);
+    let probe = build_sharded(n, &None, false, true);
     let part_len = probe.partition(&base)[crash_shard].len() as u64;
     let crash = CrashPlan::at_record(part_len / 2);
-    let run = |mode: IngestMode| {
-        let mut sx = build_sharded(n, &None, false, true, mode).with_crash(crash_shard, crash);
-        sx.run(&base);
-        sx.finish()
-    };
-    let (scalar_report, _) = run(IngestMode::Scalar);
-    let (chunked_report, _) = run(IngestMode::Chunked { size: 997 });
+    let mut sx = build_sharded(n, &None, false, true).with_crash(crash_shard, crash);
+    sx.run(&base);
+    let (report, _) = sx.finish();
     assert_eq!(
-        chunked_report, scalar_report,
-        "shutdown-loss ledger identical across feed modes"
+        report.records_shutdown_lost,
+        part_len - part_len / 2,
+        "shutdown loss is exactly the crashed shard's unconsumed tail"
     );
-    assert!(
-        chunked_report.records_shutdown_lost > 0,
-        "the drill actually stranded records"
-    );
+    assert_eq!(report.records, base.len() as u64);
 }
