@@ -135,15 +135,20 @@ echo "==> degraded-accuracy bench (reduced scale)"
 # afterwards so the reduced run never clobbers the published numbers.
 MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin degraded_accuracy
 git checkout -- results/BENCH_degraded_accuracy.json 2>/dev/null || true
+if [ ! -s results/BENCH_degraded_accuracy.json ]; then
+    echo "error: results/BENCH_degraded_accuracy.json missing or empty" >&2
+    exit 1
+fi
 
 echo "==> durability drill (reduced matrix)"
-# {bit-flip, truncation} x {head snapshot, chain link below the head,
-# manifest pair}, {torn write, ENOSPC, EIO, crash-after-op} x every
-# store op of the run, the lying fsync, plus the DiskBackend
-# kill-between-syscalls sweep over every step: each cell must end in
-# bit-identical recovery or an explicit accounted fallback, twice. A
-# rotten chain link must land recovery just below it and leave the
-# abandoned branch to GC.
+# {bit-flip, truncation} x {head snapshot, chain link below the head},
+# {torn write, ENOSPC, EIO, crash-after-op} x every store op of the run
+# (one generation write per commit), the lying fsync, plus the
+# DiskBackend kill-between-syscalls sweep over every step (four per
+# commit): each cell must end in bit-identical recovery or an explicit
+# accounted fallback, twice, and every kill point must recover with
+# zero fallbacks and zero quarantines. A rotten chain link must land
+# recovery just below it and leave the abandoned branch to GC.
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test recovery
 
 echo "==> checkpoint-durability bench (reduced scale)"

@@ -26,7 +26,7 @@
 //! Writes `results/BENCH_durability.json`.
 
 use msa_bench::{print_table, scale, seed, CostParams, PhysicalPlan, RunReport};
-use msa_core::{ExecutorConfig, Hfta, MsaError, StoreHandle, StoreStats};
+use msa_core::{CheckpointStore, ExecutorConfig, Hfta, MsaError, StoreHandle, StoreStats};
 use msa_stream::{AttrSet, Record, UniformStreamBuilder};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -75,27 +75,21 @@ struct DurableRun {
 }
 
 /// Snapshot-file size of every generation under `root`, in generation
-/// order.
-fn generation_sizes(root: &Path) -> Result<Vec<u64>, MsaError> {
+/// order. The chain keeps one generation per commit, so the root must
+/// hold exactly the files of generations `1..=commits`.
+fn generation_sizes(root: &Path, commits: u64) -> Result<Vec<u64>, MsaError> {
     let io = |e: std::io::Error| MsaError::TraceIo(e.into());
-    let mut sizes = Vec::new();
-    for entry in std::fs::read_dir(root).map_err(io)? {
-        let entry = entry.map_err(io)?;
-        let name = entry.file_name();
-        let Some(gen) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("gen-"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let len = std::fs::metadata(entry.path().join("snapshot.bin"))
-            .map_err(io)?
-            .len();
-        sizes.push((gen, len));
-    }
-    sizes.sort_unstable();
-    Ok(sizes.into_iter().map(|(_, len)| len).collect())
+    let files = std::fs::read_dir(root).map_err(io)?.count() as u64;
+    assert_eq!(
+        files, commits,
+        "the store must hold one chained generation per commit"
+    );
+    (1..=commits)
+        .map(|g| {
+            let path = root.join(CheckpointStore::generation_path(g));
+            Ok(std::fs::metadata(path).map_err(io)?.len())
+        })
+        .collect()
 }
 
 fn durable_run(
@@ -121,13 +115,8 @@ fn durable_run(
     // size. The chain keeps one generation per commit, so the sizes
     // span the whole run; a commit that re-encoded every result since
     // record zero would grow linearly and fail here.
-    let sizes = generation_sizes(root)?;
     let stats = handle.stats();
-    assert_eq!(
-        sizes.len() as u64,
-        stats.commits,
-        "the store must hold one chained generation per commit: {sizes:?}"
-    );
+    let sizes = generation_sizes(root, stats.commits)?;
     let (Some(&newest_bytes), Some(smallest_delta_bytes)) =
         (sizes.last(), sizes.iter().skip(1).copied().min())
     else {

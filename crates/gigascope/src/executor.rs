@@ -596,8 +596,8 @@ impl Executor {
         self
     }
 
-    /// Attaches a generational checkpoint store: boundary checkpoints
-    /// commit to it (atomically, behind the A/B manifest). Implies
+    /// Attaches a generational checkpoint store: each boundary checkpoint
+    /// commits as one atomically renamed generation. Implies
     /// [`Executor::with_snapshots`]. The first commit writes a base
     /// generation holding every finished result; each later one chains
     /// a delta holding only the epochs closed since. Store failures

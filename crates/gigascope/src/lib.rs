@@ -53,11 +53,11 @@
 //!   handoff (record-count, bias-ledger and degradation-promise
 //!   conservation), then commit — or roll back with the old deployment
 //!   untouched (see [`shard::ShardedExecutor::hot_swap`]);
-//! * [`store`] — the crash-safe durable store: atomic generational
-//!   checkpoints behind A/B checksummed manifests, an offline scrub
-//!   pass, and graceful fallback to older generations with the re-replayed or
-//!   lost records accounted through [`bounds`] (see
-//!   [`store::StoreHandle`]).
+//! * [`store`] — the crash-safe durable store: generational
+//!   checkpoints, one self-checksummed file each whose atomic rename is
+//!   the commit, an offline scrub pass, and graceful fallback to older
+//!   generations with the re-replayed or lost records accounted through
+//!   [`bounds`] (see [`store::StoreHandle`]).
 
 #![deny(unsafe_code)]
 

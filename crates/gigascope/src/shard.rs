@@ -742,7 +742,7 @@ impl ShardedExecutor {
             ex.note_replan_committed();
         }
         // Durable commit: each store-backed shard persists its adopted
-        // boundary state as a new generation; the manifest flip is the
+        // boundary state as a new generation, whose rename is the
         // swap's real commit point on disk. A refusal rolls the whole
         // transaction back with the old deployment untouched (a shard
         // whose store already committed merely carries an

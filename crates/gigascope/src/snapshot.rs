@@ -19,12 +19,14 @@
 //!
 //! The encoding is versioned, framed by a magic tag and guarded by an
 //! FNV-1a checksum; torn or corrupted bytes decode to a typed
-//! [`SnapshotError`] instead of garbage state. The payload opens with a
-//! chain link, so the same format serves the checkpoint store's
-//! generations (see [`crate::store`]): a *base* has no parent and holds
-//! every finished result, a *delta* holds the boundary state plus only
-//! the results finished since its parent generation. A standalone
-//! snapshot ([`Snapshot::encode`]) is always a base.
+//! [`SnapshotError`] instead of garbage state. The frame verifies
+//! itself, so a store generation needs no second record of its
+//! checksum beside it. The payload opens with a chain link, so the same
+//! format serves the checkpoint store's generations (see
+//! [`crate::store`]): a *base* has no parent and holds every finished
+//! result, a *delta* holds the boundary state plus only the results
+//! finished since its parent generation. A standalone snapshot
+//! ([`Snapshot::encode`]) is always a base.
 
 use crate::channel::ChannelState;
 use crate::executor::{RunReport, ValueSource};
@@ -584,23 +586,14 @@ pub fn plan_fingerprint(
 }
 
 /// FNV-1a over the payload — fast, dependency-free, and plenty for
-/// detecting torn writes and bit rot (not an integrity MAC). Shared
-/// with the checkpoint store's manifest frames.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+/// detecting torn writes and bit rot (not an integrity MAC).
+fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// The payload checksum a frame records (bytes 16..24), without
-/// verifying it: the checkpoint store's manifest pins this value instead
-/// of hashing the whole file a second time. `None` for a buffer too
-/// short to hold a frame header.
-pub(crate) fn frame_checksum(bytes: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes.get(16..24)?.try_into().ok()?))
 }
 
 /// Frames a payload: magic, version, length, checksum, payload.
@@ -1076,9 +1069,6 @@ mod tests {
                 "link flip at {pos}"
             );
         }
-        // The checksum the store's manifest pins is the payload's.
-        assert_eq!(frame_checksum(&delta), Some(fnv64(&delta[24..])));
-        assert_eq!(frame_checksum(&delta[..20]), None);
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! The one thing `executor` treats as durable — the epoch-boundary
 //! [`Snapshot`] — lands here as real bytes behind a
 //! [`StorageBackend`](msa_stream::store::StorageBackend). Generations
-//! form a chain, so a boundary commit costs O(epoch), not O(run):
+//! form a chain, so a boundary commit costs O(epoch), not O(run). Each
+//! generation is one file in the store root:
 //!
 //! ```text
-//! manifest.a            A/B manifest slots ("MSMF" + fnv64 trailer):
-//! manifest.b            the *commit point*; highest valid seq wins
-//! gen-1/snapshot.bin    base: boundary state + every finished result
-//! gen-2/snapshot.bin    delta: boundary state + results [k..] + link → gen-1
-//! gen-3/snapshot.bin    delta: boundary state + results [m..] + link → gen-2
+//! gen-1.snapshot.bin    base: boundary state + every finished result
+//! gen-2.snapshot.bin    delta: boundary state + results [k..] + link → gen-1
+//! gen-3.snapshot.bin    delta: boundary state + results [m..] + link → gen-2
 //! ```
 //!
 //! A **generation** is one framed snapshot (format version 6, see
@@ -20,47 +19,56 @@
 //! parent and a checksummed link naming that parent and the cumulative
 //! result count it holds. A *base* has no parent and holds every result.
 //!
-//! A **commit** writes the next generation atomically, then flips the
-//! *older* manifest slot to name it. The last good generation is never
-//! overwritten, so a crash at any byte leaves a readable store. The new
-//! generation is a delta only on top of a head whose results are known
-//! to be a prefix of the snapshot's: the head the committing executor's
-//! last successful commit wrote, or the one it was recovered from
-//! (its `ChainHead` cursor), and only while this store still holds that
-//! head on an intact chain. Anything else — the genesis commit, a store attached
-//! to an executor it did not recover — writes a base. The manifest pins
-//! the head's length and its frame checksum, so a commit encodes,
-//! hashes and writes one epoch's results once. Nothing is written
+//! A **commit** is one atomic write of the next generation, and that
+//! write's rename is the commit point: once it returns, recovery finds
+//! the generation. The layout is flat because
+//! [`DiskBackend`](msa_stream::store::DiskBackend) fsyncs only the
+//! written file's parent directory; a generation in a directory of its
+//! own would leave its entry in the root undurable, and a power loss
+//! could undo a commit that had returned. Every commit takes a number
+//! above every generation on disk and every one tried since, so the
+//! last good generation is never overwritten and a crash at any byte
+//! leaves a readable store. The new generation is a delta only on
+//! top of a head whose results are known to be a prefix of the
+//! snapshot's: the head the committing executor's last successful
+//! commit wrote, or the one it was recovered from (its `ChainHead`
+//! cursor), and only while this store still holds that head on an
+//! intact chain. Anything else — the genesis commit, a store attached
+//! to an executor it did not recover — writes a base. Nothing is written
 //! between commits: a crash mid-epoch loses only the open epoch, and
 //! recovery regenerates it by replaying the (replayable) source from
 //! the snapshot's record high-water mark.
 //!
-//! **Recovery** walks candidates newest-first: manifest-committed
-//! generations by descending manifest seq, then any orphaned on-disk
-//! generation (covers a corrupt manifest pair whose snapshot survived).
-//! Each candidate is walked from its head down to its base. Every link
-//! must pass its frame checksum (and the manifest checksum, when a
-//! manifest names it), and every parent's cumulative result count must
-//! equal its child's `results_before`. The links are then stitched into
-//! one full [`Snapshot`] for
+//! **Recovery** walks the generations on disk highest number first;
+//! numbers only grow, so that is newest first. Each candidate is walked
+//! from its head down to its base. Every link must pass its frame
+//! checksum and point strictly downward, and every parent's cumulative
+//! result count must equal its child's `results_before`. The links are
+//! then stitched into one full [`Snapshot`] for
 //! [`Executor::recover`](crate::executor::Executor::recover). A candidate
 //! with an unreadable link is unusable: the rotten link is quarantined
 //! and the ladder continues with older candidates, with the
 //! re-replayed/lost records accounted through `bounds.rs` as the
 //! explicit `stale-fallback` loss class, never silent staleness.
 //!
-//! **GC** keeps every generation on the intact chain of either manifest
-//! slot and removes the rest: orphans of failed commits, quarantined
-//! links and branches abandoned by a fallback. A steady-state commit
-//! only extends the chain, so it removes nothing.
+//! **GC** keeps the intact chains of the two newest heads this store
+//! committed or recovered — at open, the two newest generations on disk
+//! — and removes every other generation it knows may be on disk:
+//! orphans of failed commits, quarantined links and branches abandoned
+//! by a fallback. That set is the listing taken at open or power cut
+//! plus every generation a commit tried to write, so no commit lists
+//! the root, and a commit that extends the chain removes nothing.
 //!
 //! Transient EIO is retried with an attempt-counted budget (never
 //! clocked — the repo's determinism spine); ENOSPC and crashes are not.
 //! The **scrub** pass verifies every generation once, offline, and
 //! quarantines corrupt ones without touching good ones.
+//!
+//! There is no reader for the older layout (a `gen-N/` directory per
+//! generation behind A/B manifest slots): such a store opens empty.
 
 use crate::executor::{Executor, ExecutorConfig};
-use crate::snapshot::{fnv64, frame_checksum, ChainLink, Snapshot};
+use crate::snapshot::{ChainLink, Snapshot};
 use msa_stream::store::{
     DiskBackend, SimBackend, StorageBackend, StorageFaultPlan, StoreError, StoreErrorKind,
 };
@@ -68,89 +76,20 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-const MANIFEST_A: &str = "manifest.a";
-const MANIFEST_B: &str = "manifest.b";
-const MANIFEST_MAGIC: [u8; 4] = *b"MSMF";
-/// Version 2: `snapshot_fnv` is the head's frame checksum, no longer a
-/// hash of the whole file.
-const MANIFEST_VERSION: u32 = 2;
-/// payload = magic + version + 4 × u64; trailer = fnv64(payload).
-const MANIFEST_LEN: usize = 4 + 4 + 8 * 4 + 8;
-
 /// Transient-EIO retries per store operation before giving up.
 const DEFAULT_RETRY_BUDGET: u32 = 8;
 
-/// The checksummed commit pointer. Two copies live in the A/B slots;
-/// the one with the highest valid `manifest_seq` names the current
-/// generation, and a commit always overwrites the *other* slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Manifest {
-    /// Monotone commit counter (1-based); also selects the slot.
-    manifest_seq: u64,
-    /// The committed generation.
-    generation: u64,
-    /// Length of the generation's snapshot file.
-    snapshot_len: u64,
-    /// The checksum the generation's frame records. With the length it
-    /// pins every byte: the frame check covers the payload, this covers
-    /// the recorded checksum itself, and magic, version and length fail
-    /// the decode.
-    snapshot_fnv: u64,
-}
-
-impl Manifest {
-    /// The slot a commit with this sequence number writes: odd → A
-    /// (index 0), even → B (index 1), so consecutive commits alternate
-    /// and the previous manifest survives any torn write.
-    fn slot(seq: u64) -> usize {
-        usize::from(seq.is_multiple_of(2))
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(MANIFEST_LEN);
-        payload.extend_from_slice(&MANIFEST_MAGIC);
-        payload.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        payload.extend_from_slice(&self.manifest_seq.to_le_bytes());
-        payload.extend_from_slice(&self.generation.to_le_bytes());
-        payload.extend_from_slice(&self.snapshot_len.to_le_bytes());
-        payload.extend_from_slice(&self.snapshot_fnv.to_le_bytes());
-        let sum = fnv64(&payload);
-        payload.extend_from_slice(&sum.to_le_bytes());
-        payload
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Manifest> {
-        if bytes.len() != MANIFEST_LEN {
-            return None;
-        }
-        let (payload, trailer) = bytes.split_at(MANIFEST_LEN - 8);
-        if trailer != fnv64(payload).to_le_bytes() {
-            return None;
-        }
-        if payload[..4] != MANIFEST_MAGIC {
-            return None;
-        }
-        let u64_at = |i: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(payload[i..i + 8].try_into().ok()?))
-        };
-        let version = u32::from_le_bytes(payload[4..8].try_into().ok()?);
-        if version != MANIFEST_VERSION {
-            return None;
-        }
-        Some(Manifest {
-            manifest_seq: u64_at(8)?,
-            generation: u64_at(16)?,
-            snapshot_len: u64_at(24)?,
-            snapshot_fnv: u64_at(32)?,
-        })
-    }
-}
+/// A generation's file name is `gen-N.snapshot.bin`. The suffix keeps
+/// the name every snapshot file has carried, which perfbench's counting
+/// backend keys its commit ledger on.
+const GEN_PREFIX: &str = "gen-";
+const GEN_SUFFIX: &str = ".snapshot.bin";
 
 /// Cumulative store observability counters (all attempt/record counts,
 /// never clocks).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Generations committed (manifest flips).
+    /// Generations committed (one atomic write each).
     pub commits: u64,
     /// Transient-EIO retries that were attempted.
     pub io_retries: u64,
@@ -184,8 +123,6 @@ pub struct RecoveredArtifacts {
 /// Result of the offline integrity scrub.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Validity of the A and B manifest slots.
-    pub manifests_valid: [bool; 2],
     /// Generations examined.
     pub generations_checked: u64,
     /// Generations whose snapshot failed verification (now quarantined).
@@ -220,8 +157,11 @@ enum Chain {
     Unknown,
 }
 
-/// Why a recovery candidate could not be loaded.
+/// Why a generation could not be loaded.
 enum LoadFail {
+    /// Its file is not there: a write that never landed when the
+    /// generation is a head, a lost link when it is a parent.
+    Absent,
     /// The artifact is unreadable or fails verification: quarantine the
     /// generation and fall back.
     Corrupt,
@@ -232,24 +172,26 @@ enum LoadFail {
 
 /// The generational checkpoint store over one [`StorageBackend`].
 ///
-/// Commits never overwrite the last good generation; see the module
-/// docs for the on-disk layout and crash discipline. Most callers hold
-/// a [`StoreHandle`] rather than the store itself.
+/// Commits never overwrite a generation; see the module docs for the
+/// on-disk layout and crash discipline. Most callers hold a
+/// [`StoreHandle`] rather than the store itself.
 #[derive(Debug)]
 pub struct CheckpointStore {
     backend: Box<dyn StorageBackend>,
     retry_budget: u32,
-    /// Highest valid manifest sequence seen (0 = no commit yet).
-    manifest_seq: u64,
-    /// The newest committed or recovered generation (0 = none).
-    generation: u64,
-    /// The generation the next commit creates: strictly above every
-    /// generation ever seen, so fallback never re-enters a quarantined
-    /// directory and every link points strictly downward.
+    /// The generation the next commit creates: above every generation
+    /// listed at open or power cut and every one tried since, so
+    /// fallback never re-enters a quarantined generation and every link
+    /// points strictly downward.
     next_generation: u64,
-    /// The generation each manifest slot (A, B) names, as last read or
-    /// written (0 = none or unreadable): GC keeps their chains.
-    named: [u64; 2],
+    /// The two newest heads this store committed or recovered, newest
+    /// first (0 = none); at open, the two newest generations on disk.
+    /// GC keeps their intact chains.
+    heads: [u64; 2],
+    /// Every generation that may be on the backend: the listing taken
+    /// at open or power cut plus every generation a commit tried to
+    /// write. Recovery, scrub and GC work from it instead of listing.
+    on_disk: BTreeSet<u64>,
     /// Generations whose frame this process verified or wrote. In-memory
     /// like the quarantine list and re-learned after a restart; a commit
     /// chains only onto a generation listed here.
@@ -262,16 +204,15 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Opens a store over `backend`, scanning manifests and generation
-    /// directories to find the commit cursor.
+    /// Opens a store over `backend`, listing its root once to find the
+    /// generations it holds.
     pub fn open(backend: Box<dyn StorageBackend>) -> Result<CheckpointStore, StoreError> {
         let mut store = CheckpointStore {
             backend,
             retry_budget: DEFAULT_RETRY_BUDGET,
-            manifest_seq: 0,
-            generation: 0,
             next_generation: 1,
-            named: [0; 2],
+            heads: [0; 2],
+            on_disk: BTreeSet::new(),
             verified: BTreeMap::new(),
             quarantined: Vec::new(),
             stats: StoreStats::default(),
@@ -286,51 +227,26 @@ impl CheckpointStore {
         self
     }
 
-    /// Re-derives the commit cursor from the backend: best valid
-    /// manifest plus a generation-directory scan (shared by `open` and
-    /// post-power-cut reopen).
+    /// The store-relative path of generation `generation`: one file in
+    /// the store root.
+    pub fn generation_path(generation: u64) -> String {
+        format!("{GEN_PREFIX}{generation}{GEN_SUFFIX}")
+    }
+
+    /// Re-derives what the store holds from one listing of its root
+    /// (shared by `open` and post-power-cut reopen). A generation on
+    /// disk is a committed one, so the two newest listed are the two
+    /// newest heads.
     fn rescan(&mut self) -> Result<(), StoreError> {
-        self.manifest_seq = 0;
-        self.generation = 0;
+        let names = self.backend.list("")?;
+        self.on_disk = names.iter().filter_map(|n| parse_gen(n)).collect();
+        let mut newest_first = self.on_disk.iter().rev().copied();
+        let newest = newest_first.next().unwrap_or(0);
+        self.heads = [newest, newest_first.next().unwrap_or(0)];
+        self.next_generation = newest + 1;
         self.quarantined.clear();
         self.verified.clear();
-        if let Some(m) = self.read_manifests().first() {
-            self.manifest_seq = m.manifest_seq;
-            self.generation = m.generation;
-        }
-        let max_gen = self
-            .scan_generations()?
-            .into_iter()
-            .max()
-            .unwrap_or(0)
-            .max(self.generation);
-        self.next_generation = max_gen + 1;
         Ok(())
-    }
-
-    /// All valid manifests, best (highest seq) first. Refreshes which
-    /// generation each slot names.
-    fn read_manifests(&mut self) -> Vec<Manifest> {
-        let mut out = Vec::with_capacity(2);
-        for (slot, path) in [MANIFEST_A, MANIFEST_B].into_iter().enumerate() {
-            let m = self
-                .backend
-                .read(path)
-                .ok()
-                .and_then(|bytes| Manifest::decode(&bytes));
-            if let Some(named) = self.named.get_mut(slot) {
-                *named = m.map_or(0, |m| m.generation);
-            }
-            out.extend(m);
-        }
-        out.sort_by_key(|m| std::cmp::Reverse(m.manifest_seq));
-        out
-    }
-
-    /// Generation numbers present on the backend.
-    fn scan_generations(&mut self) -> Result<Vec<u64>, StoreError> {
-        let names = self.backend.list("")?;
-        Ok(names.iter().filter_map(|n| parse_gen(n)).collect())
     }
 
     /// Runs `op` with the attempt-counted transient-EIO retry loop.
@@ -356,14 +272,14 @@ impl CheckpointStore {
         }
     }
 
-    /// Commits `snapshot` as a new generation: one atomic generation
-    /// write, then the manifest flip (the commit point), then GC of
-    /// off-chain generations. The generation is a delta over `parent`
-    /// when this store still holds it, on an intact chain, with exactly
-    /// `parent.results` results; otherwise it is a base. The caller
-    /// vouches that those results are a prefix of the snapshot's, and
-    /// moves its cursor to the returned head only on success — after a
-    /// failure the next commit is still a correct delta over `parent`.
+    /// Commits `snapshot` as a new generation: one atomic write, whose
+    /// rename is the commit point, then GC of off-chain generations. The
+    /// generation is a delta over `parent` when this store still holds
+    /// it, on an intact chain, with exactly `parent.results` results;
+    /// otherwise it is a base. The caller vouches that those results are
+    /// a prefix of the snapshot's, and moves its cursor to the returned
+    /// head only on success — after a failure the next commit is still a
+    /// correct delta over `parent`.
     pub(crate) fn commit(
         &mut self,
         snapshot: &Snapshot,
@@ -377,22 +293,13 @@ impl CheckpointStore {
                 results_before: p.results,
             });
         let bytes = snapshot.encode_link(link);
+        // Claimed before the write: a write that fails may still have
+        // landed, so GC must know of it and no later commit reuses it.
         let gen = self.next_generation;
-        let snap_path = format!("gen-{gen}/snapshot.bin");
-        self.retrying(|b| b.write_atomic(&snap_path, &bytes))?;
-        let manifest = Manifest {
-            manifest_seq: self.manifest_seq + 1,
-            generation: gen,
-            snapshot_len: bytes.len() as u64,
-            snapshot_fnv: frame_checksum(&bytes).unwrap_or_default(),
-        };
-        let slot = Manifest::slot(manifest.manifest_seq);
-        let slot_path = if slot == 0 { MANIFEST_A } else { MANIFEST_B };
-        let encoded = manifest.encode();
-        self.retrying(|b| b.write_atomic(slot_path, &encoded))?;
-        if let Some(named) = self.named.get_mut(slot) {
-            *named = gen;
-        }
+        self.next_generation += 1;
+        self.on_disk.insert(gen);
+        let path = CheckpointStore::generation_path(gen);
+        self.retrying(|b| b.write_atomic(&path, &bytes))?;
         self.verified.insert(
             gen,
             Verified {
@@ -400,15 +307,22 @@ impl CheckpointStore {
                 results,
             },
         );
-        self.manifest_seq = manifest.manifest_seq;
-        self.generation = gen;
-        self.next_generation = gen + 1;
+        self.push_head(gen);
         self.stats.commits += 1;
         self.gc();
         Ok(ChainHead {
             generation: gen,
             results,
         })
+    }
+
+    /// Makes `gen` the newest head; the previous newest becomes the
+    /// other one GC keeps.
+    fn push_head(&mut self, gen: u64) {
+        let [newest, _] = self.heads;
+        if newest != gen {
+            self.heads = [gen, newest];
+        }
     }
 
     /// True when `head` is a generation this process verified or wrote,
@@ -442,39 +356,31 @@ impl CheckpointStore {
         }
     }
 
-    /// Best-effort removal of every generation off the intact chains of
-    /// the two manifest slots: orphans of failed commits, quarantined
-    /// links and branches a fallback abandoned. A chain this process
-    /// never verified keeps everything until the slot naming it is
-    /// overwritten — GC removes only what it can prove unreachable.
-    /// Failures are ignored; GC retries implicitly at the next commit.
+    /// Best-effort removal of every generation the store may hold off
+    /// the intact chains of its two newest heads: orphans of failed
+    /// commits, quarantined links and branches a fallback abandoned. A
+    /// head whose chain this process never verified keeps everything
+    /// until a commit or recovery displaces it — GC removes only what it
+    /// can prove unreachable. A failed removal keeps its generation in
+    /// the set, so the next commit retries it.
     fn gc(&mut self) {
         let mut keep = BTreeSet::new();
-        for head in self.named.into_iter().filter(|&g| g != 0) {
+        for head in self.heads.into_iter().filter(|&g| g != 0) {
             match self.chain(head) {
                 Chain::Intact(gens) => keep.extend(gens),
                 Chain::Broken => {}
                 Chain::Unknown => return,
             }
         }
-        let Ok(gens) = self.scan_generations() else {
-            return;
-        };
-        for g in gens {
-            if keep.contains(&g) {
-                continue;
+        let doomed: Vec<u64> = self.on_disk.difference(&keep).copied().collect();
+        for g in doomed {
+            let path = CheckpointStore::generation_path(g);
+            if self.retrying(|b| b.remove(&path)).is_ok() {
+                self.on_disk.remove(&g);
+                self.verified.remove(&g);
+                self.quarantined.retain(|&q| q != g);
+                self.stats.generations_removed += 1;
             }
-            let dir = format!("gen-{g}");
-            let Ok(files) = self.backend.list(&dir) else {
-                continue;
-            };
-            for f in files {
-                let path = format!("{dir}/{f}");
-                let _ = self.retrying(|b| b.remove(&path));
-            }
-            self.verified.remove(&g);
-            self.quarantined.retain(|&q| q != g);
-            self.stats.generations_removed += 1;
         }
     }
 
@@ -490,7 +396,8 @@ impl CheckpointStore {
     /// The newest committed or recovered generation (0 before the
     /// first commit).
     pub fn generation(&self) -> u64 {
-        self.generation
+        let [newest, _] = self.heads;
+        newest
     }
 
     /// Cumulative counters.
@@ -502,12 +409,7 @@ impl CheckpointStore {
     /// quarantining rotten links and falling back to older candidates.
     /// `None` when no chain is usable (fresh start).
     pub fn recover_artifacts(&mut self) -> Result<Option<RecoveredArtifacts>, StoreError> {
-        let manifests = self.read_manifests();
-        let mut candidates: Vec<u64> = manifests.iter().map(|m| m.generation).collect();
-        let mut scanned = self.scan_generations()?;
-        scanned.sort_unstable_by(|a, b| b.cmp(a));
-        scanned.retain(|g| manifests.iter().all(|m| m.generation != *g));
-        candidates.extend(scanned);
+        let candidates: Vec<u64> = self.on_disk.iter().rev().copied().collect();
         // Generations this pass already found chained through a rotten
         // link: skipped as candidates without re-reading them.
         let mut broken = BTreeSet::new();
@@ -516,14 +418,18 @@ impl CheckpointStore {
             if self.quarantined.contains(&gen) {
                 continue;
             }
-            match self.load_chain(gen, &manifests, &mut broken) {
+            match self.load_chain(gen, &mut broken) {
                 Ok(snapshot) => {
-                    self.generation = gen;
+                    self.push_head(gen);
                     return Ok(Some(RecoveredArtifacts {
                         snapshot,
                         generation: gen,
                         fallbacks,
                     }));
+                }
+                // A write that never landed: no commit was skipped.
+                Err(LoadFail::Absent) => {
+                    self.on_disk.remove(&gen);
                 }
                 Err(LoadFail::Dead(e)) => return Err(e),
                 Err(LoadFail::Corrupt) => {
@@ -539,15 +445,10 @@ impl CheckpointStore {
     /// snapshot: the head's boundary state, every link's results in
     /// chain order. Each link is verified on the way ([`Self::load`]),
     /// and each parent's cumulative result count must equal its child's
-    /// `results_before`. On a rotten link the link is quarantined (a
-    /// wrong count convicts the child that recorded it) and every
-    /// generation walked above it joins `broken`.
-    fn load_chain(
-        &mut self,
-        head: u64,
-        manifests: &[Manifest],
-        broken: &mut BTreeSet<u64>,
-    ) -> Result<Snapshot, LoadFail> {
+    /// `results_before`. On a rotten or missing link the link is
+    /// quarantined (a wrong count convicts the child that recorded it)
+    /// and every generation walked above it joins `broken`.
+    fn load_chain(&mut self, head: u64, broken: &mut BTreeSet<u64>) -> Result<Snapshot, LoadFail> {
         let mut top: Option<Snapshot> = None;
         // Each link's own results, head first.
         let mut parts = Vec::new();
@@ -561,14 +462,15 @@ impl CheckpointStore {
                 broken.extend(walked);
                 return Err(LoadFail::Corrupt);
             }
-            let (mut part, link) = match self.load(gen, manifests) {
+            let (mut part, link) = match self.load(gen) {
                 Ok(loaded) => loaded,
-                Err(LoadFail::Corrupt) => {
+                Err(LoadFail::Absent) if walked.is_empty() => return Err(LoadFail::Absent),
+                Err(LoadFail::Dead(e)) => return Err(LoadFail::Dead(e)),
+                Err(_) => {
                     self.quarantine(gen);
                     broken.extend(walked);
                     return Err(LoadFail::Corrupt);
                 }
-                Err(dead) => return Err(dead),
             };
             let own = std::mem::take(&mut part.hfta.results);
             let results = link
@@ -606,29 +508,18 @@ impl CheckpointStore {
         Ok(snapshot)
     }
 
-    /// Reads and verifies one generation: its bytes against the manifest
-    /// naming it (if any), then the frame's own checksum and a parent
-    /// strictly below it. Returns the snapshot with only the
-    /// generation's own results, and its link.
-    fn load(
-        &mut self,
-        gen: u64,
-        manifests: &[Manifest],
-    ) -> Result<(Snapshot, Option<ChainLink>), LoadFail> {
-        let snap_path = format!("gen-{gen}/snapshot.bin");
-        let bytes = match self.retrying(|b| b.read(&snap_path)) {
+    /// Reads and verifies one generation: the frame's checksum, the
+    /// decode, and a parent strictly below it. Returns the snapshot with
+    /// only the generation's own results, and its link.
+    fn load(&mut self, gen: u64) -> Result<(Snapshot, Option<ChainLink>), LoadFail> {
+        let path = CheckpointStore::generation_path(gen);
+        let bytes = match self.retrying(|b| b.read(&path)) {
             Ok(bytes) => bytes,
             // A dead backend is not a corrupt generation: propagate.
             Err(e) if e.kind == StoreErrorKind::Crashed => return Err(LoadFail::Dead(e)),
+            Err(e) if e.kind == StoreErrorKind::NotFound => return Err(LoadFail::Absent),
             Err(_) => return Err(LoadFail::Corrupt),
         };
-        if let Some(m) = manifests.iter().find(|m| m.generation == gen) {
-            if bytes.len() as u64 != m.snapshot_len
-                || frame_checksum(&bytes) != Some(m.snapshot_fnv)
-            {
-                return Err(LoadFail::Corrupt);
-            }
-        }
         match Snapshot::decode_link(&bytes) {
             Ok((_, Some(link))) if link.parent >= gen => Err(LoadFail::Corrupt),
             Ok(loaded) => Ok(loaded),
@@ -636,39 +527,37 @@ impl CheckpointStore {
         }
     }
 
-    /// Offline integrity pass: re-verifies both manifests and every
-    /// generation once (manifest checksum where one names it, frame
-    /// checksum, decode), quarantining generations that fail. Read-only
-    /// apart from the quarantine list.
+    /// Offline integrity pass: verifies every generation once (frame
+    /// checksum, then decode), quarantining generations that fail.
+    /// Read-only apart from the quarantine list.
     pub fn scrub(&mut self) -> Result<ScrubReport, StoreError> {
         let mut report = ScrubReport::default();
-        for (i, slot) in [MANIFEST_A, MANIFEST_B].into_iter().enumerate() {
-            report.manifests_valid[i] = match self.backend.read(slot) {
-                Ok(bytes) => Manifest::decode(&bytes).is_some(),
-                Err(_) => false,
-            };
-        }
-        let manifests = self.read_manifests();
-        let mut gens = self.scan_generations()?;
-        gens.sort_unstable();
+        let gens: Vec<u64> = self.on_disk.iter().copied().collect();
         for g in gens {
-            report.generations_checked += 1;
-            match self.load(g, &manifests) {
+            match self.load(g) {
                 Ok(_) => {}
+                Err(LoadFail::Absent) => {
+                    self.on_disk.remove(&g);
+                    continue;
+                }
                 Err(LoadFail::Dead(e)) => return Err(e),
                 Err(LoadFail::Corrupt) => {
                     self.quarantine(g);
                     report.generations_quarantined.push(g);
                 }
             }
+            report.generations_checked += 1;
         }
         Ok(report)
     }
 }
 
-/// Parses `gen-N` directory names.
+/// The generation a root entry holds, if it is one.
 fn parse_gen(name: &str) -> Option<u64> {
-    name.strip_prefix("gen-")?.parse().ok()
+    name.strip_prefix(GEN_PREFIX)?
+        .strip_suffix(GEN_SUFFIX)?
+        .parse()
+        .ok()
 }
 
 /// Result of a store-backed executor recovery (see
@@ -883,15 +772,31 @@ mod tests {
         ex.run(recs);
     }
 
+    fn path(g: u64) -> String {
+        CheckpointStore::generation_path(g)
+    }
+
     /// Size of generation `g`'s snapshot file.
     fn gen_len(handle: &StoreHandle, g: u64) -> usize {
-        handle.with_backend(|b| b.read(&format!("gen-{g}/snapshot.bin")).unwrap().len())
+        handle.with_backend(|b| b.read(&path(g)).unwrap().len())
     }
 
     /// Generation `g`'s chain link (`None` for a base).
     fn gen_link(handle: &StoreHandle, g: u64) -> Option<ChainLink> {
-        let bytes = handle.with_backend(|b| b.read(&format!("gen-{g}/snapshot.bin")).unwrap());
+        let bytes = handle.with_backend(|b| b.read(&path(g)).unwrap());
         Snapshot::decode_link(&bytes).unwrap().1
+    }
+
+    /// The store root's listing.
+    fn listing(handle: &StoreHandle) -> Vec<String> {
+        handle.with_backend(|b| b.list("").unwrap())
+    }
+
+    /// The listing a store holding exactly `gens` has.
+    fn files(gens: impl IntoIterator<Item = u64>) -> Vec<String> {
+        let mut names: Vec<String> = gens.into_iter().map(path).collect();
+        names.sort();
+        names
     }
 
     /// The boundary checkpoint after each of the first `n` epochs of
@@ -914,19 +819,13 @@ mod tests {
         run_with_store(&handle, &records(200));
         let stats = handle.stats();
         assert!(stats.commits >= 3, "expected several boundary commits");
-        let gens = handle.with_backend(|b| b.list("").unwrap());
-        let gen_dirs: Vec<&String> = gens.iter().filter(|n| n.starts_with("gen-")).collect();
         // The chain keeps every generation it links and a steady-state
-        // commit removes nothing: one directory per commit.
-        assert_eq!(gen_dirs.len() as u64, stats.commits, "{gen_dirs:?}");
+        // commit removes nothing. A generation is one file in the root
+        // and nothing else lands there: no log or other per-delivery
+        // artifact between commits.
+        assert_eq!(listing(&handle), files(1..=stats.commits));
         assert_eq!(stats.generations_removed, 0);
         assert_eq!(handle.generation(), stats.commits);
-        // A generation is its snapshot and nothing else: no log or
-        // other per-delivery artifact lands between commits.
-        for dir in gen_dirs {
-            let files = handle.with_backend(|b| b.list(dir).unwrap());
-            assert_eq!(files, vec!["snapshot.bin".to_string()], "{dir}");
-        }
         // Genesis is the base; every later commit is a delta over the
         // generation before it.
         assert_eq!(gen_link(&handle, 1), None);
@@ -949,36 +848,40 @@ mod tests {
     #[test]
     fn a_failed_commit_leaves_the_next_one_a_delta_over_the_old_head() {
         let snaps = boundary_snapshots(3);
-        // Ops 0..4 are the first two commits; op 4 is the third
-        // commit's generation write, op 5 its manifest flip.
-        for failing_op in [4, 5] {
-            let plan = StorageFaultPlan {
-                fail_op: Some((failing_op, StoreErrorKind::NoSpace)),
-                ..StorageFaultPlan::none()
-            };
-            let mut store = CheckpointStore::open(Box::new(SimBackend::with_faults(plan))).unwrap();
-            let h1 = store.commit(&snaps[0], None).unwrap();
-            let h2 = store.commit(&snaps[1], Some(h1)).unwrap();
-            assert!(store.commit(&snaps[2], Some(h2)).is_err());
-            let h3 = store.commit(&snaps[2], Some(h2)).unwrap();
-            let bytes = store
-                .backend
-                .read(&format!("gen-{}/snapshot.bin", h3.generation))
-                .unwrap();
-            let (_, link) = Snapshot::decode_link(&bytes).unwrap();
-            assert_eq!(
-                link,
-                Some(ChainLink {
-                    parent: h2.generation,
-                    results_before: h2.results,
-                }),
-                "op {failing_op}"
-            );
-            store.rescan().unwrap();
-            let got = store.recover_artifacts().unwrap().unwrap();
-            assert_eq!(got.generation, h3.generation);
-            assert_eq!(got.snapshot, snaps[2], "op {failing_op}: stitched chain");
-        }
+        // Ops 0 and 1 are the first two commits; op 2 is the third
+        // commit's only write.
+        let plan = StorageFaultPlan {
+            fail_op: Some((2, StoreErrorKind::NoSpace)),
+            ..StorageFaultPlan::none()
+        };
+        let mut store = CheckpointStore::open(Box::new(SimBackend::with_faults(plan))).unwrap();
+        let h1 = store.commit(&snaps[0], None).unwrap();
+        let h2 = store.commit(&snaps[1], Some(h1)).unwrap();
+        assert!(store.commit(&snaps[2], Some(h2)).is_err());
+        // The failed write claimed a number but left no file: recovery
+        // and scrub in the same process skip it without a fallback or a
+        // quarantine.
+        let got = store.recover_artifacts().unwrap().unwrap();
+        assert_eq!((got.generation, got.fallbacks), (h2.generation, 0));
+        assert_eq!(store.scrub().unwrap().generations_checked, 2);
+        assert_eq!(store.stats().generations_quarantined, 0);
+        let h3 = store.commit(&snaps[2], Some(h2)).unwrap();
+        let bytes = store.backend.read(&path(h3.generation)).unwrap();
+        let (_, link) = Snapshot::decode_link(&bytes).unwrap();
+        assert_eq!(
+            link,
+            Some(ChainLink {
+                parent: h2.generation,
+                results_before: h2.results,
+            })
+        );
+        // The failed write's number is never reused.
+        assert!(h3.generation > h2.generation + 1);
+        store.rescan().unwrap();
+        let got = store.recover_artifacts().unwrap().unwrap();
+        assert_eq!(got.generation, h3.generation);
+        assert_eq!(got.fallbacks, 0);
+        assert_eq!(got.snapshot, snaps[2], "stitched chain");
     }
 
     #[test]
@@ -994,10 +897,7 @@ mod tests {
         };
         let h3 = store.commit(&snaps[2], Some(liar)).unwrap();
         let base = |store: &mut CheckpointStore, g: u64| {
-            let bytes = store
-                .backend
-                .read(&format!("gen-{g}/snapshot.bin"))
-                .unwrap();
+            let bytes = store.backend.read(&path(g)).unwrap();
             Snapshot::decode_link(&bytes).unwrap().1.is_none()
         };
         assert!(base(&mut store, h3.generation));
@@ -1047,13 +947,13 @@ mod tests {
         let rotten = newest - 3;
         let len = gen_len(&handle, rotten);
         handle
-            .with_backend(|b| b.corrupt(&format!("gen-{rotten}/snapshot.bin"), len / 2))
+            .with_backend(|b| b.corrupt(&path(rotten), len / 2))
             .unwrap();
         handle.power_cut().unwrap();
         let recovery = handle.recover_executor(&config());
         assert_eq!(recovery.generation, rotten - 1, "just below the rot");
-        // Both manifest heads and the orphans above the rot chain
-        // through it: each is one accounted fallback.
+        // The three generations above the rot chain through it: each
+        // is one accounted fallback.
         assert_eq!(recovery.fallbacks, 3);
         assert_eq!(handle.stats().generations_quarantined, 1);
         let mut ex = recovery.executor.unwrap();
@@ -1065,11 +965,11 @@ mod tests {
         // The next commits chained onto the recovered head; GC removed
         // the rotten link and the branch above it, nothing else.
         assert_eq!(handle.stats().generations_removed, 4);
-        let gens = handle.with_backend(|b| b.list("").unwrap());
+        let gens = listing(&handle);
         for g in rotten..=newest {
-            assert!(!gens.contains(&format!("gen-{g}")), "gen-{g} survived GC");
+            assert!(!gens.contains(&path(g)), "gen-{g} survived GC");
         }
-        assert!(gens.contains(&format!("gen-{}", rotten - 1)));
+        assert!(gens.contains(&path(rotten - 1)));
     }
 
     #[test]
@@ -1079,11 +979,10 @@ mod tests {
         let gens = handle.generation();
         // Stamp every generation with the pre-chain format version.
         for g in 1..=gens {
-            let path = format!("gen-{g}/snapshot.bin");
             handle.with_backend(|b| {
-                let mut bytes = b.read(&path).unwrap();
+                let mut bytes = b.read(&path(g)).unwrap();
                 bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
-                b.write_atomic(&path, &bytes).unwrap();
+                b.write_atomic(&path(g), &bytes).unwrap();
             });
         }
         handle.power_cut().unwrap();
@@ -1130,7 +1029,7 @@ mod tests {
         run_with_store(&handle, &records(200));
         let newest = handle.generation();
         handle
-            .with_backend(|b| b.corrupt(&format!("gen-{newest}/snapshot.bin"), 12))
+            .with_backend(|b| b.corrupt(&path(newest), 12))
             .unwrap();
         let recovery = handle.recover_executor(&config());
         let ex = recovery.executor.expect("older generation must be usable");
@@ -1146,12 +1045,9 @@ mod tests {
         let handle = StoreHandle::in_memory().unwrap();
         run_with_store(&handle, &records(120));
         let clean = handle.scrub().unwrap();
-        assert!(clean.manifests_valid.iter().any(|&v| v));
         assert!(clean.generations_quarantined.is_empty());
         let gen = handle.generation();
-        handle
-            .with_backend(|b| b.corrupt(&format!("gen-{gen}/snapshot.bin"), 20))
-            .unwrap();
+        handle.with_backend(|b| b.corrupt(&path(gen), 20)).unwrap();
         let dirty = handle.scrub().unwrap();
         assert_eq!(dirty.generations_quarantined, vec![gen]);
     }
@@ -1182,26 +1078,33 @@ mod tests {
     }
 
     #[test]
-    fn manifest_slot_corruption_falls_back_to_other_slot() {
+    fn a_base_commit_keeps_the_previous_chain_for_one_more_commit() {
         let handle = StoreHandle::in_memory().unwrap();
-        run_with_store(&handle, &records(200));
-        // Kill the *winning* manifest slot; the other still names the
-        // previous generation.
-        let seq_slot = if handle.lock_seq() % 2 == 1 {
-            MANIFEST_A
-        } else {
-            MANIFEST_B
-        };
-        handle.with_backend(|b| b.corrupt(seq_slot, 5)).unwrap();
-        let recovery = handle.recover_executor(&config());
-        assert!(recovery.executor.is_some());
-        assert!(recovery.generation >= 1);
-    }
-
-    impl StoreHandle {
-        /// Test-only peek at the manifest sequence.
-        fn lock_seq(&self) -> u64 {
-            self.lock().manifest_seq
-        }
+        let recs = records(200);
+        run_with_store(&handle, &recs[..100]);
+        let old_head = handle.generation();
+        // A fresh executor's genesis commit is a base; the old head is
+        // still one of the two newest, so its chain stays recoverable.
+        let mut fresh = config().build().with_store(handle.clone());
+        fresh.run(&recs[..1]);
+        let base = handle.generation();
+        assert_eq!(base, old_head + 1);
+        assert_eq!(gen_link(&handle, base), None);
+        assert_eq!(handle.stats().generations_removed, 0);
+        assert_eq!(listing(&handle), files(1..=base));
+        // The next commit extends the base and displaces the old head:
+        // GC drops the whole previous chain.
+        fresh.run(&recs[1..20]);
+        let head = handle.generation();
+        assert_eq!(gen_link(&handle, head).map(|l| l.parent), Some(base));
+        assert_eq!(handle.stats().generations_removed, old_head);
+        assert_eq!(listing(&handle), files(base..=head));
+        // After a restart the two newest generations on disk are the
+        // heads, not yet verified: another fresh base removes nothing.
+        handle.power_cut().unwrap();
+        let mut restarted = config().build().with_store(handle.clone());
+        restarted.run(&recs[..1]);
+        assert_eq!(handle.stats().generations_removed, old_head);
+        assert_eq!(listing(&handle), files(base..=head + 1));
     }
 }

@@ -21,10 +21,9 @@
 //!   unchecked indexing, or unproven-nonzero `/`/`%` inside any fn
 //!   reachable in ≤ [`HOT_PATH_HOPS`] call-graph hops from the
 //!   per-record entry points (`offer`/`offer_chunk`/`process`/`run`/
-//!   `run_chunked`/`pump` in `crates/gigascope/src`), outside
-//!   `supervise.rs`'s catch_unwind
-//!   boundary. Explicit `panic!`/`assert!` macros are *not* flagged:
-//!   those are deliberate, visible crash decisions.
+//!   `pump` in `crates/gigascope/src`), outside `supervise.rs`'s
+//!   catch_unwind boundary. Explicit `panic!`/`assert!` macros are
+//!   *not* flagged: those are deliberate, visible crash decisions.
 //!
 //! The abstract value lattice is deliberately small: a boolean "carries
 //! a nondeterminism source", a bitmask of parameters whose taint the
@@ -1187,7 +1186,7 @@ fn r008(st: &SymbolTable, cg: &CallGraph, out: &mut Vec<Finding>) {
             let file = &st.files[f.file];
             matches!(
                 f.name.as_str(),
-                "offer" | "offer_chunk" | "process" | "run" | "run_chunked" | "pump"
+                "offer" | "offer_chunk" | "process" | "run" | "pump"
             ) && file.rel.starts_with("crates/gigascope/src/")
                 && !file.rel.ends_with("supervise.rs")
                 && !f.allowlisted

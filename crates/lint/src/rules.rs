@@ -192,7 +192,7 @@ pub const CATALOG: &[Rule] = &[
         id: "R008",
         group: "robustness",
         severity: Severity::Error,
-        summary: "no unwrap/expect/indexing/unproven-divisor panic site within 3 call-graph hops of the per-record hot path (offer/offer_chunk/process/run/run_chunked/pump), outside supervise.rs",
+        summary: "no unwrap/expect/indexing/unproven-divisor panic site within 3 call-graph hops of the per-record hot path (offer/offer_chunk/process/run/pump), outside supervise.rs",
         help: "replace with get()/get_mut() + an explicit miss path, clamp divisors with .max(1), or move the fallible work off the per-record path; supervise.rs is the only sanctioned panic boundary",
         check: workspace_only,
     },

@@ -443,9 +443,8 @@ impl StorageBackend for DiskBackend {
                     Err(e) => return Err(Self::io_err("remove", path, &e)),
                 }
                 // Match the flat-key [`SimBackend`] semantics: a
-                // directory vanishes with its last file, so GC'd
-                // generations don't linger as empty husks for `list`
-                // and scrub to trip over.
+                // directory vanishes with its last file, so it does not
+                // linger as an empty husk for `list` to report.
                 if let Some(parent) = abs.parent() {
                     if parent != self.root
                         && fs::read_dir(parent).is_ok_and(|mut d| d.next().is_none())

@@ -5,19 +5,21 @@
 //! generation — explicitly, with the loss accounted — and still lands
 //! on the exact answer after replay.
 //!
-//! The durable layout is the generational checkpoint store: A/B
-//! checksummed manifest slots name the current generation, each
-//! `gen-N/` holds one atomically-written epoch-boundary snapshot — the
-//! boundary state plus only the epochs closed since its parent, chained
-//! to it — and every artifact carries an FNV-1a checksum so a torn or
-//! flipped byte is refused, never restored. Nothing is written between boundaries:
-//! recovery replays the source from the snapshot's record high-water
-//! mark, and determinism regenerates the lost open epoch exactly.
+//! The durable layout is the generational checkpoint store: each
+//! `gen-N.snapshot.bin` in the store root holds one atomically-written
+//! epoch-boundary snapshot — the boundary state plus only the epochs
+//! closed since its parent, chained to it — and its rename is the
+//! commit. Every generation carries an FNV-1a checksum, so a torn or
+//! flipped byte is refused, never restored. Nothing is written between
+//! boundaries: recovery replays the source from the snapshot's record
+//! high-water mark, and determinism regenerates the lost open epoch
+//! exactly.
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
 use msa_core::{
-    AttrSet, BoundsReport, CostParams, CrashPlan, ExecutorConfig, FaultPlan, MsaError, StoreHandle,
+    AttrSet, BoundsReport, CheckpointStore, CostParams, CrashPlan, ExecutorConfig, FaultPlan,
+    MsaError, StoreHandle,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_stream::UniformStreamBuilder;
@@ -84,8 +86,9 @@ fn main() -> Result<(), MsaError> {
         ref_report.evictions_duplicated,
     );
 
-    // The store lives in a real directory: every commit is write-temp →
-    // fsync → atomic-rename → fsync-dir, once per epoch boundary.
+    // The store lives in a real directory: every commit is one
+    // write-temp → fsync → atomic-rename → fsync-dir, once per epoch
+    // boundary.
     let root = std::env::temp_dir().join(format!("msa_crash_recovery_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
 
@@ -109,9 +112,9 @@ fn main() -> Result<(), MsaError> {
         );
     } // the "process" is gone; only the directory survives
 
-    // Recovery is a fresh process: reopen the directory, read the
-    // manifest pair, stitch the newest generation's chain into one
-    // snapshot, then resume the stream from its high-water mark. The
+    // Recovery is a fresh process: reopen the directory, list its
+    // generations, stitch the newest one's chain into one snapshot,
+    // then resume the stream from its high-water mark. The
     // replay re-drains and re-delivers the open epoch the crash lost,
     // bit for bit.
     let handle = StoreHandle::on_disk(&root).map_err(store_error)?;
@@ -137,7 +140,7 @@ fn main() -> Result<(), MsaError> {
     // generation's snapshot mid-write — half the bytes on disk, the
     // checksum unsatisfiable. The scrub names the rotten generation...
     let newest = handle.generation();
-    let snap_path = format!("gen-{newest}/snapshot.bin");
+    let snap_path = CheckpointStore::generation_path(newest);
     let len = handle
         .with_backend(|b| b.read(&snap_path).map(|v| v.len()))
         .map_err(store_error)?;
@@ -146,7 +149,7 @@ fn main() -> Result<(), MsaError> {
         .map_err(store_error)?;
     let scrub = handle.scrub().map_err(store_error)?;
     println!(
-        "\ntorn write injected into gen-{newest}/snapshot.bin ({} -> {} bytes): \
+        "\ntorn write injected into {snap_path} ({} -> {} bytes): \
          scrub quarantines {:?}",
         len,
         len / 2,

@@ -17,12 +17,14 @@
 
 use msa_core::{
     AttrSet, CheckpointStore, CostParams, CrashPlan, DiskBackend, Executor, ExecutorConfig,
-    FaultPlan, GuardPolicy, Record, RecoveryError, RunReport, ShardedExecutor, Snapshot,
-    SnapshotError, StorageFaultPlan, StoreErrorKind, StoreHandle, StoreStats, SwapError, SwapFault,
+    FaultPlan, GuardPolicy, Record, RecoveryError, RunReport, ShardedExecutor, SimBackend,
+    Snapshot, SnapshotError, StorageBackend, StorageFaultPlan, StoreError, StoreErrorKind,
+    StoreHandle, StoreStats, SwapError, SwapFault,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
 use msa_stream::UniformStreamBuilder;
+use std::sync::{Arc, Mutex};
 
 const EPOCH: u64 = 1_000_000;
 
@@ -458,8 +460,7 @@ fn mid_epoch_capture_is_refused() {
 const DRILL_EPOCH: u64 = 1_000;
 
 /// Fault-sweep drill length: six epoch closes after the genesis commit,
-/// so every sweep reaches both manifest slots and a seven-generation
-/// chain.
+/// so every sweep reaches a seven-generation chain.
 const SWEEP_RECORDS: u32 = 700;
 
 fn drill_records(n: u32) -> Vec<Record> {
@@ -481,29 +482,127 @@ fn drill_oracle(seed: u64, recs: &[Record]) -> (RunReport, Hfta) {
     ex.finish()
 }
 
+/// What the store asked of a backend, as [`Observed`] saw it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Seen {
+    /// The backend's own fault index after its last mutating call:
+    /// mutating ops for [`SimBackend`], syscall steps for
+    /// [`DiskBackend`]. A sweep over it reaches every fault point.
+    points: u64,
+    /// Root listings.
+    lists: u64,
+}
+
+/// A backend that forwards every call and records what it saw in a
+/// shared [`Seen`] — shared because the store owns its backend.
+#[derive(Debug)]
+struct Observed<B> {
+    inner: B,
+    /// Reads the inner backend's fault index.
+    points: fn(&B) -> u64,
+    seen: Arc<Mutex<Seen>>,
+}
+
+impl<B> Observed<B> {
+    fn noted<T>(&mut self, out: T) -> T {
+        self.seen.lock().unwrap().points = (self.points)(&self.inner);
+        out
+    }
+}
+
+impl<B: StorageBackend> StorageBackend for Observed<B> {
+    fn write_atomic(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        let out = self.inner.write_atomic(path, bytes);
+        self.noted(out)
+    }
+
+    fn append(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        let out = self.inner.append(path, bytes);
+        self.noted(out)
+    }
+
+    fn sync(&mut self, path: &str) -> Result<(), StoreError> {
+        let out = self.inner.sync(path);
+        self.noted(out)
+    }
+
+    fn read(&mut self, path: &str) -> Result<Vec<u8>, StoreError> {
+        self.inner.read(path)
+    }
+
+    fn list(&mut self, dir: &str) -> Result<Vec<String>, StoreError> {
+        self.seen.lock().unwrap().lists += 1;
+        self.inner.list(dir)
+    }
+
+    fn remove(&mut self, path: &str) -> Result<(), StoreError> {
+        let out = self.inner.remove(path);
+        self.noted(out)
+    }
+
+    fn truncate(&mut self, path: &str, len: usize) -> Result<(), StoreError> {
+        let out = self.inner.truncate(path, len);
+        self.noted(out)
+    }
+
+    fn corrupt(&mut self, path: &str, index: usize) -> Result<(), StoreError> {
+        self.inner.corrupt(path, index)
+    }
+
+    fn power_cut(&mut self) {
+        self.inner.power_cut();
+    }
+}
+
 /// What a fault-free store-attached drill run leaves: its store
-/// counters and the backend's root listing. Sweeps derive their index
-/// range from the counters and prove each fault fired by comparing
-/// against both.
+/// counters, the backend's root listing, and the fault points its
+/// backend observed. Sweeps range over the observed points and prove
+/// each fault fired by comparing against the counters and the listing.
 struct Unfused {
     stats: StoreStats,
     listing: Vec<String>,
+    seen: Seen,
 }
 
-fn unfused_drill(handle: &StoreHandle, seed: u64, recs: &[Record]) -> Unfused {
+fn unfused_drill<B: StorageBackend + 'static>(
+    inner: B,
+    points: fn(&B) -> u64,
+    seed: u64,
+    recs: &[Record],
+) -> Unfused {
+    let seen = Arc::new(Mutex::new(Seen::default()));
+    let backend = Observed {
+        inner,
+        points,
+        seen: Arc::clone(&seen),
+    };
+    let handle = StoreHandle::new(CheckpointStore::open(Box::new(backend)).unwrap());
     let mut live = drill_config(seed).build().with_store(handle.clone());
     live.run(recs);
     assert!(!live.store_degraded(), "the unfused run must stay healthy");
+    let seen = *seen.lock().unwrap();
     let stats = handle.stats();
     let listing = handle.with_backend(|b| b.list("")).unwrap();
-    let generations = listing.iter().filter(|n| n.starts_with("gen-")).count();
+    let mut chain: Vec<String> = (1..=stats.commits)
+        .map(CheckpointStore::generation_path)
+        .collect();
+    chain.sort();
     // Each commit extends one chain: a steady-state run leaves one
-    // generation per commit and GC has nothing to remove.
+    // generation file per commit and nothing else, GC has nothing to
+    // remove, and nothing lists the root after open.
     assert!(
-        stats.commits >= 6 && stats.generations_removed == 0 && generations as u64 == stats.commits,
+        stats.commits >= 6 && stats.generations_removed == 0 && listing == chain,
         "the drill must cross five boundaries on one chain: {stats:?}, {listing:?}"
     );
-    Unfused { stats, listing }
+    assert_eq!(
+        seen.lists, 1,
+        "a steady-state drill lists the root only at open"
+    );
+    Unfused {
+        stats,
+        listing,
+        seen,
+    }
 }
 
 /// Everything a drill cell produces, for the two-run bit-identity gate.
@@ -555,8 +654,7 @@ fn assert_matches_oracle(cell: &CellOutcome, oracle: &(RunReport, Hfta), label: 
 
 /// One post-hoc corruption cell: run durably, rot one artifact class,
 /// power-cut, recover, replay, compare against the oracle. `link` rots
-/// the generation below the head — strictly inside the chain both
-/// manifest heads run through.
+/// the generation below the head — strictly inside the newest chain.
 fn corruption_cell(
     artifact: &str,
     rot: &str,
@@ -574,19 +672,11 @@ fn corruption_cell(
         "{label}: the chain needs a link below the head"
     );
     let link = newest - 1;
-    let targets: Vec<String> = match artifact {
-        "snapshot" => vec![format!("gen-{newest}/snapshot.bin")],
-        "link" => vec![format!("gen-{link}/snapshot.bin")],
-        // Rot BOTH manifest slots: recovery must fall through to the
-        // orphan generation-directory scan.
-        _ => vec!["manifest.a".to_string(), "manifest.b".to_string()],
-    };
-    for path in &targets {
-        let len = handle.with_backend(|b| b.read(path).unwrap().len());
-        match rot {
-            "bit-flip" => handle.with_backend(|b| b.corrupt(path, len / 3)).unwrap(),
-            _ => handle.with_backend(|b| b.truncate(path, len / 2)).unwrap(),
-        }
+    let path = CheckpointStore::generation_path(if artifact == "link" { link } else { newest });
+    let len = handle.with_backend(|b| b.read(&path).unwrap().len());
+    match rot {
+        "bit-flip" => handle.with_backend(|b| b.corrupt(&path, len / 3)).unwrap(),
+        _ => handle.with_backend(|b| b.truncate(&path, len / 2)).unwrap(),
     }
     handle.power_cut().unwrap();
     let recovery = handle.recover_executor(&drill_config(7));
@@ -614,8 +704,8 @@ fn corruption_cell(
                 "{label}: the rotten generation must be quarantined"
             );
         }
-        "link" => {
-            // Both heads chain through the rotten link: recovery lands
+        _ => {
+            // The head chains through the rotten link: recovery lands
             // on the generation just below it, explicitly.
             assert_eq!(cell.generation, link - 1, "{label}: just below the rot");
             assert!(cell.fallbacks >= 1, "{label}: fallback must be taken");
@@ -633,30 +723,24 @@ fn corruption_cell(
             let listing = handle.with_backend(|b| b.list("")).unwrap();
             for g in link..=newest {
                 assert!(
-                    !listing.contains(&format!("gen-{g}")),
+                    !listing.contains(&CheckpointStore::generation_path(g)),
                     "{label}: gen-{g} is off every chain but survived GC"
                 );
             }
-        }
-        _ => {
-            // Both manifests dead: the orphan scan still finds the
-            // newest generation — nothing is lost, nothing falls back.
-            assert_eq!(cell.generation, newest, "{label}: orphan scan");
-            assert_eq!(cell.fallbacks, 0, "{label}: no fallback needed");
         }
     }
     cell
 }
 
 /// The post-hoc corruption matrix: {bit-flip, truncation} × {snapshot,
-/// chain link, manifest pair}, each cell run twice and required to be
-/// bit-identical — and each cell required to end in bit-identical
-/// recovery or explicit accounted fallback, never silent corruption.
+/// chain link}, each cell run twice and required to be bit-identical —
+/// and each cell required to end in bit-identical recovery or explicit
+/// accounted fallback, never silent corruption.
 #[test]
 fn corruption_matrix_recovers_bit_identically_or_falls_back_accounted() {
     let recs = drill_records(240);
     let oracle = drill_oracle(7, &recs);
-    for artifact in ["snapshot", "link", "manifest"] {
+    for artifact in ["snapshot", "link"] {
         for rot in ["bit-flip", "truncate"] {
             let label = format!("{artifact} x {rot}");
             let first = corruption_cell(artifact, rot, &recs, &oracle, &label);
@@ -722,18 +806,21 @@ fn in_flight_cell(
 }
 
 /// The in-flight fault sweep: {torn write, ENOSPC, transient EIO,
-/// crash-after-op} × every mutating op index of the fault-free run —
-/// snapshot writes, both manifest slots and GC removals — plus the
-/// lying-fsync cell, whose "durable" generations evaporate at the power
-/// cut and recovery restarts explicitly from record zero.
+/// crash-after-op} × every mutating op index the fault-free run made —
+/// one generation write per commit, one removal per GC'd generation —
+/// plus the lying-fsync cell, whose "durable" generations evaporate at
+/// the power cut and recovery restarts explicitly from record zero.
 #[test]
 fn in_flight_storage_fault_sweep_recovers_bit_identically() {
     let recs = drill_records(SWEEP_RECORDS);
     let oracle = drill_oracle(7, &recs);
-    let unfused = unfused_drill(&StoreHandle::in_memory().unwrap(), 7, &recs);
-    // Each commit writes its snapshot and one manifest slot; each GC
-    // removal deletes one generation's only file.
-    let ops = 2 * unfused.stats.commits + unfused.stats.generations_removed;
+    let unfused = unfused_drill(SimBackend::new(), SimBackend::ops, 7, &recs);
+    let ops = unfused.seen.points;
+    assert_eq!(
+        ops,
+        unfused.stats.commits + unfused.stats.generations_removed,
+        "one mutating op per commit and per GC removal"
+    );
     for op in 0..ops {
         for kind in ["torn-write", "enospc", "transient-eio", "crash-after"] {
             let plan = match kind {
@@ -786,9 +873,11 @@ fn in_flight_storage_fault_sweep_recovers_bit_identically() {
 /// write-temp, between fsync and rename, after rename but before the
 /// directory fsync, during GC — and for every `k` a fresh process
 /// reopening the directory must recover to a state that, after replay,
-/// is bit-identical to the fault-free run. `k` sweeps every step of the
-/// fault-free run. This is the crash-atomicity proof for the disk
-/// backend's write discipline.
+/// is bit-identical to the fault-free run. `k` sweeps every step the
+/// fault-free run made. A kill interrupts at most the write of a
+/// generation nobody has committed yet, so every reopen recovers
+/// without a fallback or a quarantine. This is the crash-atomicity
+/// proof for the disk backend's write discipline.
 #[test]
 fn disk_kill_between_syscalls_sweep_is_crash_atomic() {
     let recs = drill_records(SWEEP_RECORDS);
@@ -796,10 +885,18 @@ fn disk_kill_between_syscalls_sweep_is_crash_atomic() {
     let base = std::env::temp_dir().join(format!("msa_recovery_kill_{}", std::process::id()));
     let clean_root = base.join("unfused");
     let _ = std::fs::remove_dir_all(&clean_root);
-    let unfused = unfused_drill(&StoreHandle::on_disk(&clean_root).unwrap(), 11, &recs);
-    // `DiskBackend` step accounting: four steps per atomic write (a
-    // snapshot and a manifest slot per commit), one per GC removal.
-    let steps = 8 * unfused.stats.commits + unfused.stats.generations_removed;
+    let unfused = unfused_drill(
+        DiskBackend::new(&clean_root).unwrap(),
+        DiskBackend::steps,
+        11,
+        &recs,
+    );
+    let steps = unfused.seen.points;
+    assert_eq!(
+        steps,
+        4 * unfused.stats.commits + unfused.stats.generations_removed,
+        "four steps per generation write, one per GC removal"
+    );
     for k in 0..steps {
         let root = base.join(format!("k{k}"));
         let _ = std::fs::remove_dir_all(&root);
@@ -822,6 +919,15 @@ fn disk_kill_between_syscalls_sweep_is_crash_atomic() {
         // what a killed process would have left on disk.
         let handle = StoreHandle::on_disk(&root).unwrap();
         let recovery = handle.recover_executor(&drill_config(11));
+        assert_eq!(
+            recovery.fallbacks, 0,
+            "kill at step {k}: an interrupted write is no fallback"
+        );
+        assert_eq!(
+            handle.stats().generations_quarantined,
+            0,
+            "kill at step {k}: nothing on disk is corrupt"
+        );
         let records_hwm = recovery.records_hwm;
         let mut ex = match recovery.executor {
             Some(ex) => ex,
@@ -913,7 +1019,7 @@ fn crashed_shard_recovers_from_its_store_with_and_without_rot() {
                 let newest = store.generation();
                 assert!(newest >= 1, "seed {seed}: genesis commit must exist");
                 store
-                    .with_backend(|b| b.corrupt(&format!("gen-{newest}/snapshot.bin"), 9))
+                    .with_backend(|b| b.corrupt(&CheckpointStore::generation_path(newest), 9))
                     .unwrap();
             }
             let fallbacks = sx

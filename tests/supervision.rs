@@ -548,14 +548,15 @@ impl StorageBackend for PanickingDisk {
 /// A panic escaping the executor in the middle of a chunk — no armed
 /// fault, so the supervisor cannot know its record — is pinned to its
 /// exact record before the poison verdict counts it. The last shard's
-/// store panics on chosen writes; its fifth write is the commit of the
-/// close of epoch 1, run by the partition's first record of epoch 2.
+/// store panics on chosen writes; one write is one commit, so its third
+/// write is the commit of the close of epoch 1, run by the partition's
+/// first record of epoch 2.
 ///
-/// * transient (fifth write only): one restart, then a clean replay,
+/// * transient (third write only): one restart, then a clean replay,
 ///   bit-identical to the fault-free run apart from `shard_restarts`;
-/// * recurring (writes 5–8): the escaped range costs one restart, then
+/// * recurring (writes 3–6): the escaped range costs one restart, then
 ///   `poison_threshold` single-record kills at that record quarantine
-///   exactly it, and the ninth write goes through.
+///   exactly it, and the seventh write goes through.
 #[test]
 fn panics_escaping_a_chunk_are_pinned_to_their_record() {
     quiet_disk_panics();
@@ -581,7 +582,7 @@ fn panics_escaping_a_chunk_are_pinned_to_their_record() {
     let (clean_report, clean_hfta, clean_health) = run(vec![]);
     assert_eq!(clean_health.panics_caught, 0);
 
-    let (report, hfta, health) = run(vec![5]);
+    let (report, hfta, health) = run(vec![3]);
     assert_eq!((health.panics_caught, health.restarts), (1, 1), "transient");
     assert!(health.poisoned.is_empty(), "transient");
     let mut scrubbed = report.clone();
@@ -594,7 +595,7 @@ fn panics_escaping_a_chunk_are_pinned_to_their_record() {
         .iter()
         .position(|r| r.ts_micros >= 2 * EPOCH)
         .expect("the partition reaches epoch 2");
-    let (report, hfta, health) = run(vec![5, 6, 7, 8]);
+    let (report, hfta, health) = run(vec![3, 4, 5, 6]);
     assert_eq!((health.panics_caught, health.restarts), (4, 4), "recurring");
     assert_eq!(health.poisoned.len(), 1, "recurring");
     assert_eq!(health.poisoned[0].index, at as u64, "recurring");
