@@ -24,6 +24,12 @@ timeout 1800 cargo test --offline --workspace -q
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> perfbench: clippy -D warnings and fmt --check"
+# perfbench/ is its own cargo workspace, so neither the clippy step
+# above nor the fmt step at the end sees it; hold it to the same bar.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+
 echo "==> msa-lint: rule catalog"
 rules=$(cargo run --offline --release -q -p msa-lint -- --list-rules | wc -l)
 echo "msa-lint: $rules rules registered"
@@ -152,8 +158,9 @@ echo "==> durability drill (reduced matrix)"
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test recovery
 
 echo "==> checkpoint-durability bench (reduced scale)"
-# Durable-disk overhead vs the in-memory twin and cold-start (open +
-# scrub + rebuild) latency per checkpoint density; functional two-run
+# Durable-disk overhead vs the identical run checkpointing in memory
+# only (boundary marks, no store), and cold-start (open + scrub +
+# rebuild) latency per checkpoint density; functional two-run
 # determinism and the O(epoch) commit (newest generation file at most
 # twice the smallest delta, read from each row's store directory) are
 # asserted inside the bench. The committed full-scale JSON is restored
@@ -176,6 +183,12 @@ for workload in trace collide wide durable; do
     timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0
 done
+# Traced once more: the run fails when the layer self times leave more
+# than 10% of the traced wall time unattributed, so the ledger keeps
+# covering the boundary commit and recovery path.
+echo "--> perfbench durable (traced)"
+timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload durable --seed 1 --seconds 2 --trace 1
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -411,6 +411,22 @@ impl ExecutorConfig {
     }
 }
 
+/// An executor's last boundary checkpoint, held without its finished
+/// results.
+///
+/// Finished results are append-only: [`Hfta::close_epoch`] pushes them,
+/// and only a restore, which replaces the mark as well, removes any. The
+/// checkpoint's results are therefore always the prefix
+/// `hfta.results()[..results]`. That holds after a crash fuse too,
+/// because a crashed flush never reaches `close_epoch`.
+#[derive(Clone, Debug)]
+struct BoundaryMark {
+    /// The boundary state, with `hfta.results` left empty.
+    state: Snapshot,
+    /// How many finished results existed at the boundary.
+    results: usize,
+}
+
 /// Streams records through a [`PhysicalPlan`], maintaining the LFTA
 /// tables and the HFTA combiner, and accounting every cost.
 #[derive(Clone, Debug)]
@@ -445,8 +461,8 @@ pub struct Executor {
     /// Take a checkpoint at every epoch boundary.
     auto_snapshot: bool,
     /// The most recent boundary checkpoint (the durable one a crash
-    /// leaves behind).
-    latest_snapshot: Option<Box<Snapshot>>,
+    /// leaves behind), held as a mark over the finished results.
+    boundary: Option<Box<BoundaryMark>>,
     /// Armed crash fuses.
     crash: CrashPlan,
     /// A fuse fired: the executor is inert (simulated dead process).
@@ -523,7 +539,7 @@ impl Executor {
             },
             seed,
             auto_snapshot: false,
-            latest_snapshot: None,
+            boundary: None,
             crash: CrashPlan::none(),
             crashed: false,
             store: None,
@@ -705,20 +721,21 @@ impl Executor {
         }
     }
 
-    /// Commits a boundary checkpoint to the attached store, degrading
-    /// (never panicking) past the retry budget: the run continues on
-    /// in-memory artifacts and recovery falls back to the last good
-    /// generation with the gap accounted as stale-fallback loss.
-    fn store_commit(&mut self, snap: &Snapshot) {
-        if self.store_broken {
-            return;
-        }
-        if let Some(store) = &self.store {
-            match store.commit(snap, self.store_head) {
+    /// Takes a boundary checkpoint: marks the boundary and commits it to
+    /// the attached store, which reads the finished results in place.
+    /// A store failure degrades (never panics) past the retry budget:
+    /// the run continues on in-memory artifacts and recovery falls back
+    /// to the last good generation with the gap accounted as
+    /// stale-fallback loss.
+    fn checkpoint(&mut self) {
+        let mark = self.mark();
+        if let Some(store) = self.store.as_ref().filter(|_| !self.store_broken) {
+            match store.commit(&mark.state, self.hfta.results(), self.store_head) {
                 Ok(head) => self.store_head = Some(head),
                 Err(_) => self.store_broken = true,
             }
         }
+        self.boundary = Some(Box::new(mark));
     }
 
     /// Persists the current boundary state to the attached store as the
@@ -730,9 +747,9 @@ impl Executor {
         let Some(store) = self.store.clone() else {
             return Ok(());
         };
-        let snap = self.make_snapshot();
-        self.store_head = Some(store.commit(&snap, self.store_head)?);
-        self.latest_snapshot = Some(Box::new(snap));
+        let mark = self.mark();
+        self.store_head = Some(store.commit(&mark.state, self.hfta.results(), self.store_head)?);
+        self.boundary = Some(Box::new(mark));
         Ok(())
     }
 
@@ -841,10 +858,8 @@ impl Executor {
         // Genesis checkpoint: before the first record everything is at
         // an epoch boundary by construction, so a crash ahead of the
         // first real boundary still has something to recover from.
-        if self.auto_snapshot && self.latest_snapshot.is_none() {
-            let snap = self.make_snapshot();
-            self.store_commit(&snap);
-            self.latest_snapshot = Some(Box::new(snap));
+        if self.auto_snapshot && self.boundary.is_none() {
+            self.checkpoint();
         }
         // Crash fuse: dies before processing record `at_record`.
         if let Some(n) = self.crash.at_record {
@@ -952,10 +967,8 @@ impl Executor {
             if self.crashed {
                 return;
             }
-            if self.auto_snapshot && self.latest_snapshot.is_none() {
-                let snap = self.make_snapshot();
-                self.store_commit(&snap);
-                self.latest_snapshot = Some(Box::new(snap));
+            if self.auto_snapshot && self.boundary.is_none() {
+                self.checkpoint();
             }
             // Crash fuse first, then epoch flushes: the scalar path
             // checks `at_record` *before* closing epochs.
@@ -1228,9 +1241,7 @@ impl Executor {
             }
         }
         if self.auto_snapshot {
-            let snap = self.make_snapshot();
-            self.store_commit(&snap);
-            self.latest_snapshot = Some(Box::new(snap));
+            self.checkpoint();
         }
     }
 
@@ -1244,8 +1255,9 @@ impl Executor {
         )
     }
 
-    /// Captures the boundary state (caller guarantees alignment).
-    fn make_snapshot(&self) -> Snapshot {
+    /// Captures the boundary state without its finished results (caller
+    /// guarantees alignment).
+    fn boundary_state(&self) -> Snapshot {
         debug_assert!(
             self.tables.iter().all(|t| t.occupied() == 0) && self.hfta.in_flight() == 0,
             "checkpoints are epoch-aligned"
@@ -1257,7 +1269,7 @@ impl Executor {
             channel: self.channel.export_state(),
             guard: self.guard.as_ref().map(|g| g.export_state()),
             tables: self.tables.iter().map(|t| t.stats()).collect(),
-            hfta: self.hfta.export_state(),
+            hfta: self.hfta.boundary_state(),
             report: self.report.clone(),
             intra_cost_mark: self.intra_cost_mark,
             flush_cost_mark: self.flush_cost_mark,
@@ -1266,24 +1278,50 @@ impl Executor {
         }
     }
 
-    /// Captures a checkpoint now. Snapshots are epoch-aligned: at a
-    /// boundary every LFTA table has just been drained and the HFTA's
-    /// combining maps are empty, so the state reduces to counters,
-    /// finished results and PRNG cursors. Mid-epoch captures are
-    /// refused with [`SnapshotError::EpochUnaligned`].
+    /// Marks the current boundary (caller guarantees alignment).
+    fn mark(&self) -> BoundaryMark {
+        BoundaryMark {
+            state: self.boundary_state(),
+            results: self.hfta.results().len(),
+        }
+    }
+
+    /// Captures a checkpoint now, copying every finished result: O(run).
+    /// Snapshots are epoch-aligned: at a boundary every LFTA table has
+    /// just been drained and the HFTA's combining maps are empty, so
+    /// the state reduces to counters, finished results and PRNG
+    /// cursors. Mid-epoch captures are refused with
+    /// [`SnapshotError::EpochUnaligned`].
     pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
         if self.tables.iter().any(|t| t.occupied() > 0) || self.hfta.in_flight() > 0 {
             return Err(SnapshotError::EpochUnaligned);
         }
-        Ok(self.make_snapshot())
+        let mut snap = self.boundary_state();
+        snap.hfta.results = self.hfta.results().to_vec();
+        Ok(snap)
     }
 
     /// The most recent boundary checkpoint (see
     /// [`Executor::with_snapshots`]): what a crash leaves behind, and
     /// all [`Executor::recover`] consumes. `None` before the first
     /// checkpoint exists.
-    pub fn latest_snapshot(&self) -> Option<&Snapshot> {
-        self.latest_snapshot.as_deref()
+    ///
+    /// Built on demand from the boundary mark and a copy of the
+    /// finished results it covers, so it costs O(run); checkpoints
+    /// themselves copy no results.
+    pub fn latest_snapshot(&self) -> Option<Snapshot> {
+        let mark = self.boundary.as_deref()?;
+        let mut snap = mark.state.clone();
+        snap.hfta.results = self.hfta.results().get(..mark.results)?.to_vec();
+        Some(snap)
+    }
+
+    /// The last boundary checkpoint's epoch and record high-water mark,
+    /// read from the mark without building the checkpoint.
+    pub(crate) fn checkpoint_position(&self) -> Option<(u64, u64)> {
+        self.boundary
+            .as_deref()
+            .map(|m| (m.state.epoch, m.state.records_hwm))
     }
 
     /// True once a crash fuse has fired; the executor is then inert.
@@ -1420,7 +1458,10 @@ impl Executor {
     /// hashes, restored PRNG and shed cursors) makes that replay
     /// regenerate every delivery of the open epoch, so the resumed run
     /// is bit-identical to a run that never crashed.
-    pub fn recover(mut self, snapshot: &Snapshot) -> Result<Executor, RecoveryError> {
+    ///
+    /// The snapshot is taken by value: its finished results move into
+    /// the HFTA without a copy.
+    pub fn recover(mut self, snapshot: Snapshot) -> Result<Executor, RecoveryError> {
         let expected = self.fingerprint();
         if snapshot.plan_fingerprint != expected {
             return Err(RecoveryError::PlanMismatch {
@@ -1428,22 +1469,28 @@ impl Executor {
                 found: snapshot.plan_fingerprint,
             });
         }
-        self.channel = EvictionChannel::from_state(&snapshot.channel);
-        self.guard = snapshot.guard.as_ref().map(OverloadGuard::from_state);
-        self.hfta = Hfta::restore(self.queries.clone(), snapshot.hfta.clone());
         for (t, stats) in self.tables.iter_mut().zip(&snapshot.tables) {
             t.restore_stats(*stats);
         }
+        self.install(snapshot);
+        self.auto_snapshot = true;
+        self.boundary = Some(Box::new(self.mark()));
+        self.crashed = false;
+        Ok(self)
+    }
+
+    /// Installs `snapshot`'s boundary state, all but the table
+    /// statistics, moving its finished results into a new HFTA.
+    fn install(&mut self, snapshot: Snapshot) {
+        self.channel = EvictionChannel::from_state(&snapshot.channel);
+        self.guard = snapshot.guard.as_ref().map(OverloadGuard::from_state);
+        self.hfta = Hfta::restore(self.queries.clone(), snapshot.hfta);
         self.current_epoch = snapshot.epoch;
-        self.report = snapshot.report.clone();
+        self.report = snapshot.report;
         self.intra_cost_mark = snapshot.intra_cost_mark;
         self.flush_cost_mark = snapshot.flush_cost_mark;
         self.dropped_mark = snapshot.dropped_mark;
         self.duplicated_mark = snapshot.duplicated_mark;
-        self.auto_snapshot = true;
-        self.latest_snapshot = Some(Box::new(snapshot.clone()));
-        self.crashed = false;
-        Ok(self)
     }
 
     /// Flushes the final epoch and returns the report.
@@ -1543,9 +1590,7 @@ impl Executor {
             && self.tables.iter().all(|t| t.occupied() == 0)
             && self.hfta.in_flight() == 0
         {
-            let snap = self.make_snapshot();
-            self.store_commit(&snap);
-            self.latest_snapshot = Some(Box::new(snap));
+            self.checkpoint();
         }
     }
 
@@ -1574,26 +1619,18 @@ impl Executor {
     /// Per-table collision statistics deliberately start fresh: the new
     /// plan's tables are different tables, and the drift detector must
     /// observe them from a clean window.
-    pub(crate) fn adopt_boundary_state(mut self, snapshot: &Snapshot) -> Executor {
+    pub(crate) fn adopt_boundary_state(mut self, snapshot: Snapshot) -> Executor {
         debug_assert!(
             self.report.records == 0,
             "adopting executors must be freshly built"
         );
-        self.channel = EvictionChannel::from_state(&snapshot.channel);
-        self.guard = snapshot.guard.as_ref().map(OverloadGuard::from_state);
-        self.hfta = Hfta::restore(self.queries.clone(), snapshot.hfta.clone());
-        self.current_epoch = snapshot.epoch;
-        self.report = snapshot.report.clone();
-        self.intra_cost_mark = snapshot.intra_cost_mark;
-        self.flush_cost_mark = snapshot.flush_cost_mark;
-        self.dropped_mark = snapshot.dropped_mark;
-        self.duplicated_mark = snapshot.duplicated_mark;
+        self.install(snapshot);
         if self.auto_snapshot {
             // Re-anchor the checkpoint under the new plan's
             // fingerprint: a crash right after the commit must recover
             // into the new plan, not find an orphaned old-plan
             // checkpoint.
-            self.latest_snapshot = Some(Box::new(self.make_snapshot()));
+            self.boundary = Some(Box::new(self.mark()));
         }
         self
     }

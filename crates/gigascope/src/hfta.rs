@@ -160,19 +160,23 @@ impl Hfta {
         self.current.iter().map(|m| m.len()).sum()
     }
 
-    /// Exports the boundary state for a checkpoint. Partials of a
-    /// still-open epoch (see [`Hfta::in_flight`]) are *not* captured;
-    /// callers must snapshot at an epoch boundary.
-    pub fn export_state(&self) -> HftaState {
+    /// Exports the boundary counters for a checkpoint, with `results`
+    /// left empty: finished results only ever grow at
+    /// [`Hfta::close_epoch`], so a checkpoint reads them in place as a
+    /// prefix of [`Hfta::results`] instead of copying them. Partials of
+    /// a still-open epoch (see [`Hfta::in_flight`]) are *not* captured;
+    /// callers must checkpoint at an epoch boundary.
+    pub fn boundary_state(&self) -> HftaState {
         HftaState {
             epoch: self.epoch,
             received: self.received,
             retain_results: self.retain_results,
-            results: self.finished.clone(),
+            results: Vec::new(),
         }
     }
 
-    /// Rebuilds an HFTA for `queries` from an exported boundary state.
+    /// Rebuilds an HFTA for `queries` from a boundary state, taking its
+    /// results over without copying them.
     pub fn restore(queries: Vec<AttrSet>, state: HftaState) -> Hfta {
         let current = queries.iter().map(|_| FastMap::default()).collect();
         Hfta {
@@ -401,9 +405,18 @@ mod tests {
         assert_eq!(h.in_flight(), 2);
         h.close_epoch();
         assert_eq!(h.in_flight(), 0);
-        let state = h.export_state();
+        let state = HftaState {
+            results: h.results().to_vec(),
+            ..h.boundary_state()
+        };
         let restored = Hfta::restore(vec![a, b], state.clone());
-        assert_eq!(restored.export_state(), state);
+        assert_eq!(
+            HftaState {
+                results: restored.results().to_vec(),
+                ..restored.boundary_state()
+            },
+            state
+        );
         assert_eq!(restored.results(), h.results());
         assert_eq!(restored.received(), h.received());
         assert_eq!(restored.totals(a), h.totals(a));
@@ -441,10 +454,7 @@ mod tests {
         assert_eq!(merged.totals(b), serial.totals(b));
         // Shard order is part of the contract, not the result: groups
         // are disjoint across shards so either order combines equally.
-        let merged_rev = Hfta::merge_ordered(
-            vec![a, b],
-            &[Hfta::restore(vec![a, b], merged.export_state())],
-        );
+        let merged_rev = Hfta::merge_ordered(vec![a, b], std::slice::from_ref(&merged));
         assert_eq!(merged_rev.results(), serial.results());
     }
 

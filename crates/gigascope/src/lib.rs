@@ -85,7 +85,7 @@ pub use guard::{
 pub use hfta::Hfta;
 pub use plan::{PhysicalPlan, PlanNode};
 pub use shard::{shard_of, shard_seed, ShardError, ShardedExecutor};
-pub use snapshot::{RecoveryError, ShardedSnapshot, Snapshot, SnapshotError};
+pub use snapshot::{RecoveryError, Snapshot, SnapshotError};
 pub use store::{
     CheckpointStore, RecoveredArtifacts, ScrubReport, StoreHandle, StoreRecovery, StoreStats,
 };

@@ -30,7 +30,7 @@ use crate::faults::{CrashPlan, FaultPlan, ShardFault};
 use crate::guard::{DegradationPolicy, GuardPolicy};
 use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
-use crate::snapshot::{RecoveryError, ShardedSnapshot, Snapshot};
+use crate::snapshot::{RecoveryError, Snapshot};
 use crate::store::StoreHandle;
 use crate::supervise::{
     PoisonRecord, ShardDriver, ShardHealth, ShardHeartbeat, ShardState, SupervisorPolicy,
@@ -477,21 +477,10 @@ impl ShardedExecutor {
         stats
     }
 
-    /// Shard `k`'s last boundary checkpoint (see
+    /// Shard `k`'s last boundary checkpoint, built on demand (see
     /// [`Executor::latest_snapshot`]).
-    pub fn latest_snapshot(&self, k: usize) -> Option<&Snapshot> {
+    pub fn latest_snapshot(&self, k: usize) -> Option<Snapshot> {
         self.shards[k].latest_snapshot()
-    }
-
-    /// The deployment-wide checkpoint: every shard's latest boundary
-    /// snapshot under one shard-count header. `None` until every shard
-    /// has checkpointed at least once.
-    pub fn durable_snapshot(&self) -> Option<ShardedSnapshot> {
-        let mut shards = Vec::with_capacity(self.n);
-        for ex in &self.shards {
-            shards.push(ex.latest_snapshot()?.clone());
-        }
-        Some(ShardedSnapshot { shards })
     }
 
     /// Recovers crashed shard `k` from its boundary checkpoint and
@@ -503,9 +492,10 @@ impl ShardedExecutor {
     pub fn recover_shard(
         &mut self,
         k: usize,
-        snapshot: &Snapshot,
+        snapshot: Snapshot,
         records: &[Record],
     ) -> Result<(), RecoveryError> {
+        let resume_at = snapshot.records_hwm;
         let mut cfg = self.shard_config(k);
         cfg.crash = CrashPlan::none();
         let mut ex = cfg.build().recover(snapshot)?;
@@ -517,7 +507,7 @@ impl ShardedExecutor {
             .filter(|r| shard_of(self.config.seed, r, self.n) == k)
             .copied()
             .collect();
-        let resume_at = usize::try_from(snapshot.records_hwm)
+        let resume_at = usize::try_from(resume_at)
             .unwrap_or(part.len())
             .min(part.len());
         ex.run(&part[resume_at..]);
@@ -663,9 +653,7 @@ impl ShardedExecutor {
             // refuse to run if any shard's checkpoint lags the quiesce
             // boundary (recovery would silently lose committed work).
             for (k, ex) in self.shards.iter().enumerate() {
-                let current = ex
-                    .latest_snapshot()
-                    .is_some_and(|s| s.epoch == epoch && s.records_hwm == ex.report().records);
+                let current = ex.checkpoint_position() == Some((epoch, ex.report().records));
                 if !current {
                     return Err(SwapError::StaleCheckpoint { shard: k });
                 }
@@ -682,7 +670,7 @@ impl ShardedExecutor {
         // state. The old shards are not touched — rollback is a drop.
         let old_queries = self.queries();
         let mut new_shards = Vec::with_capacity(self.n);
-        for (k, snap) in snaps.iter().enumerate() {
+        for (k, snap) in snaps.into_iter().enumerate() {
             let cfg = self.shard_config_for(&new_plan, k);
             let mut ex = cfg.build();
             if let Some(store) = self.stores.get(k) {
@@ -705,9 +693,9 @@ impl ShardedExecutor {
         } else {
             new_shards
                 .iter()
-                .zip(&snaps)
+                .zip(&self.shards)
                 .enumerate()
-                .try_for_each(|(k, (ex, snap))| validate_handoff(k, ex, snap, &old_queries))
+                .try_for_each(|(k, (ex, old))| validate_handoff(k, ex, old, &old_queries))
         };
         if let Err(violation) = verdict {
             drop(new_shards);
@@ -807,12 +795,11 @@ impl ShardedExecutor {
         for k in 0..self.n {
             let snap = self.shards[k]
                 .latest_snapshot()
-                .cloned()
                 .ok_or(SwapError::StaleCheckpoint { shard: k })?;
             let mut cfg = self.shard_config(k);
             cfg.crash = CrashPlan::none();
             self.crashes[k] = CrashPlan::none();
-            let mut ex = cfg.build().recover(&snap)?;
+            let mut ex = cfg.build().recover(snap)?;
             if let Some(store) = self.stores.get(k) {
                 ex = ex.with_store(store.clone());
             }

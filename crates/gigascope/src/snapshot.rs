@@ -59,7 +59,6 @@ use msa_stream::{AttrSet, GroupKey, MAX_ATTRS};
 pub const SNAPSHOT_VERSION: u32 = 6;
 
 const SNAPSHOT_MAGIC: [u8; 4] = *b"MSNP";
-const SHARDED_MAGIC: [u8; 4] = *b"MSSH";
 
 /// Failure decoding (or capturing) a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,8 +194,19 @@ impl Snapshot {
     /// [`Snapshot::encode`]. The caller guarantees `results_before` is
     /// at most the result count.
     pub(crate) fn encode_link(&self, link: Option<ChainLink>) -> Vec<u8> {
+        self.encode_generation(&self.hfta.results, link)
+    }
+
+    /// [`Snapshot::encode_link`] from borrowed parts: this boundary
+    /// state, whose own `hfta.results` is not read, and `results`, every
+    /// finished result at the boundary. A checkpoint encodes the
+    /// executor's results in place this way, without copying them.
+    pub(crate) fn encode_generation(
+        &self,
+        results: &[EpochResult],
+        link: Option<ChainLink>,
+    ) -> Vec<u8> {
         let skip = link.map_or(0, |l| l.results_before);
-        let results = &self.hfta.results;
         debug_assert!(
             skip <= results.len() as u64,
             "a link never skips past the results"
@@ -506,52 +516,6 @@ impl Snapshot {
     }
 }
 
-/// The durable checkpoint of a sharded deployment: one epoch-aligned
-/// [`Snapshot`] per shard, framed together under a shard-count header.
-///
-/// Each inner snapshot keeps its own frame (magic, version, checksum),
-/// so a corrupted shard is pinpointed rather than poisoning the whole
-/// artifact, and a single shard can be extracted and restored on its
-/// own — which is exactly what per-shard crash recovery does.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardedSnapshot {
-    /// Per-shard snapshots, in shard order.
-    pub shards: Vec<Snapshot>,
-}
-
-impl ShardedSnapshot {
-    /// Serializes the sharded checkpoint: an outer frame carrying the
-    /// shard count and each shard's length-prefixed inner frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
-        w.u64(self.shards.len() as u64);
-        for shard in &self.shards {
-            let inner = shard.encode();
-            w.u64(inner.len() as u64);
-            w.bytes(&inner);
-        }
-        frame(SHARDED_MAGIC, w)
-    }
-
-    /// Deserializes a sharded checkpoint, validating the outer frame and
-    /// every inner shard frame.
-    #[must_use = "a decoded sharded snapshot must be installed or verified; dropping it hides corruption"]
-    pub fn decode(bytes: &[u8]) -> Result<ShardedSnapshot, SnapshotError> {
-        let mut r = unframe(SHARDED_MAGIC, bytes)?;
-        let n = r.u64()?;
-        let mut shards = Vec::with_capacity(n.min(1 << 16) as usize);
-        for _ in 0..n {
-            let len = r.u64()?;
-            let inner = r.take(
-                usize::try_from(len).map_err(|_| SnapshotError::Malformed("shard frame length"))?,
-            )?;
-            shards.push(Snapshot::decode(inner)?);
-        }
-        r.done()?;
-        Ok(ShardedSnapshot { shards })
-    }
-}
-
 /// Fingerprints an executor configuration: plan shape, per-table hash
 /// seed base, epoch length, cost parameters and value source. Recovery
 /// compares fingerprints so a snapshot can never be restored into an
@@ -702,10 +666,6 @@ impl ByteWriter {
         self.u64(agg.sum);
         self.u32(agg.min);
         self.u32(agg.max);
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
     }
 
     fn keyed_counts(&mut self, counts: &[(AttrSet, u64)]) {
@@ -1010,14 +970,9 @@ mod tests {
             Snapshot::decode_link(&pre_chain),
             Err(SnapshotError::UnsupportedVersion(5))
         );
-        // A sharded checkpoint buffer is not a snapshot buffer.
-        let sharded = ShardedSnapshot {
-            shards: vec![snap.clone()],
-        };
-        assert_eq!(
-            Snapshot::decode(&sharded.encode()),
-            Err(SnapshotError::BadMagic)
-        );
+        // A foreign buffer long enough to hold a frame is not a snapshot.
+        let foreign = b"plain text, not a checkpoint frame";
+        assert_eq!(Snapshot::decode(foreign), Err(SnapshotError::BadMagic));
     }
 
     #[test]
@@ -1149,51 +1104,5 @@ mod tests {
         ] {
             assert_ne!(base, other, "fingerprint must react to {what}");
         }
-    }
-
-    #[test]
-    fn sharded_snapshot_roundtrip_is_lossless() {
-        let mut shard1 = sample_snapshot();
-        shard1.records_hwm = 4321;
-        let sharded = ShardedSnapshot {
-            shards: vec![sample_snapshot(), shard1],
-        };
-        let bytes = sharded.encode();
-        let back = ShardedSnapshot::decode(&bytes).unwrap();
-        assert_eq!(back, sharded);
-        assert_eq!(ShardedSnapshot::decode(&back.encode()).unwrap(), sharded);
-        // Empty deployments frame too (a run that never checkpointed).
-        let empty = ShardedSnapshot { shards: Vec::new() };
-        assert_eq!(ShardedSnapshot::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn sharded_snapshot_rejects_corruption() {
-        let sharded = ShardedSnapshot {
-            shards: vec![sample_snapshot(), sample_snapshot()],
-        };
-        let good = sharded.encode();
-        // Outer payload flip: caught by the outer checksum.
-        let mut bad = good.clone();
-        bad[good.len() / 2] ^= 0x20;
-        assert!(matches!(
-            ShardedSnapshot::decode(&bad),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
-        // Torn write and foreign buffers are typed.
-        assert_eq!(
-            ShardedSnapshot::decode(&good[..good.len() - 5]),
-            Err(SnapshotError::Truncated)
-        );
-        assert_eq!(
-            ShardedSnapshot::decode(&sample_snapshot().encode()),
-            Err(SnapshotError::BadMagic)
-        );
-        let mut wrong_version = good.clone();
-        wrong_version[4] = 77;
-        assert_eq!(
-            ShardedSnapshot::decode(&wrong_version),
-            Err(SnapshotError::UnsupportedVersion(77))
-        );
     }
 }

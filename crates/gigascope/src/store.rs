@@ -68,6 +68,7 @@
 //! generation behind A/B manifest slots): such a store opens empty.
 
 use crate::executor::{Executor, ExecutorConfig};
+use crate::hfta::EpochResult;
 use crate::snapshot::{ChainLink, Snapshot};
 use msa_stream::store::{
     DiskBackend, SimBackend, StorageBackend, StorageFaultPlan, StoreError, StoreErrorKind,
@@ -272,27 +273,31 @@ impl CheckpointStore {
         }
     }
 
-    /// Commits `snapshot` as a new generation: one atomic write, whose
-    /// rename is the commit point, then GC of off-chain generations. The
-    /// generation is a delta over `parent` when this store still holds
-    /// it, on an intact chain, with exactly `parent.results` results;
-    /// otherwise it is a base. The caller vouches that those results are
-    /// a prefix of the snapshot's, and moves its cursor to the returned
-    /// head only on success — after a failure the next commit is still a
-    /// correct delta over `parent`.
+    /// Commits a boundary as a new generation: one atomic write, whose
+    /// rename is the commit point, then GC of off-chain generations.
+    /// Both parts are borrowed: `state` is the boundary state (its own
+    /// `hfta.results` is not read) and `results` every finished result
+    /// at the boundary, of which the generation encodes only those its
+    /// parent's chain lacks. The generation is a delta over `parent`
+    /// when this store still holds it, on an intact chain, with exactly
+    /// `parent.results` results; otherwise it is a base. The caller
+    /// vouches that those results are a prefix of `results`, and moves
+    /// its cursor to the returned head only on success — after a
+    /// failure the next commit is still a correct delta over `parent`.
     pub(crate) fn commit(
         &mut self,
-        snapshot: &Snapshot,
+        state: &Snapshot,
+        results: &[EpochResult],
         parent: Option<ChainHead>,
     ) -> Result<ChainHead, StoreError> {
-        let results = snapshot.hfta.results.len() as u64;
+        let count = results.len() as u64;
         let link = parent
-            .filter(|p| p.results <= results && self.holds(*p))
+            .filter(|p| p.results <= count && self.holds(*p))
             .map(|p| ChainLink {
                 parent: p.generation,
                 results_before: p.results,
             });
-        let bytes = snapshot.encode_link(link);
+        let bytes = state.encode_generation(results, link);
         // Claimed before the write: a write that fails may still have
         // landed, so GC must know of it and no later commit reuses it.
         let gen = self.next_generation;
@@ -304,7 +309,7 @@ impl CheckpointStore {
             gen,
             Verified {
                 parent: link.map(|l| l.parent),
-                results,
+                results: count,
             },
         );
         self.push_head(gen);
@@ -312,7 +317,7 @@ impl CheckpointStore {
         self.gc();
         Ok(ChainHead {
             generation: gen,
-            results,
+            results: count,
         })
     }
 
@@ -623,10 +628,11 @@ impl StoreHandle {
     /// See [`CheckpointStore::commit`].
     pub(crate) fn commit(
         &self,
-        snapshot: &Snapshot,
+        state: &Snapshot,
+        results: &[EpochResult],
         parent: Option<ChainHead>,
     ) -> Result<ChainHead, StoreError> {
-        self.lock().commit(snapshot, parent)
+        self.lock().commit(state, results, parent)
     }
 
     /// See [`CheckpointStore::recover_artifacts`].
@@ -690,25 +696,32 @@ impl StoreHandle {
             // would still be held when the arms re-lock the handle.
             let loaded = self.lock().recover_artifacts();
             match loaded {
-                Ok(Some(artifacts)) => match cfg.build().recover(&artifacts.snapshot) {
-                    Ok(ex) => {
-                        let head = ChainHead {
-                            generation: artifacts.generation,
-                            results: artifacts.snapshot.hfta.results.len() as u64,
-                        };
-                        return StoreRecovery {
-                            records_hwm: artifacts.snapshot.records_hwm,
-                            generation: artifacts.generation,
-                            executor: Some(ex.with_store_head(self.clone(), head)),
-                            fallbacks: self.stats().fallbacks - start_fallbacks,
-                        };
+                Ok(Some(RecoveredArtifacts {
+                    snapshot,
+                    generation,
+                    ..
+                })) => {
+                    let head = ChainHead {
+                        generation,
+                        results: snapshot.hfta.results.len() as u64,
+                    };
+                    let records_hwm = snapshot.records_hwm;
+                    match cfg.build().recover(snapshot) {
+                        Ok(ex) => {
+                            return StoreRecovery {
+                                records_hwm,
+                                generation,
+                                executor: Some(ex.with_store_head(self.clone(), head)),
+                                fallbacks: self.stats().fallbacks - start_fallbacks,
+                            };
+                        }
+                        Err(_) => {
+                            let mut store = self.lock();
+                            store.quarantine(generation);
+                            store.stats.fallbacks += 1;
+                        }
                     }
-                    Err(_) => {
-                        let mut store = self.lock();
-                        store.quarantine(artifacts.generation);
-                        store.stats.fallbacks += 1;
-                    }
-                },
+                }
                 Ok(None) | Err(_) => {
                     return StoreRecovery {
                         executor: None,
@@ -799,6 +812,15 @@ mod tests {
         names
     }
 
+    /// Commits a whole snapshot: its boundary state and its results.
+    fn commit(
+        store: &mut CheckpointStore,
+        snap: &Snapshot,
+        parent: Option<ChainHead>,
+    ) -> Result<ChainHead, StoreError> {
+        store.commit(snap, &snap.hfta.results, parent)
+    }
+
     /// The boundary checkpoint after each of the first `n` epochs of
     /// `records(10 * n)` (ten records per epoch).
     fn boundary_snapshots(n: usize) -> Vec<Snapshot> {
@@ -808,7 +830,7 @@ mod tests {
         for (e, epoch) in recs.chunks(10).enumerate() {
             ex.run(epoch);
             ex.align_to_epoch(e as u64 + 1);
-            out.push(ex.latest_snapshot().unwrap().clone());
+            out.push(ex.latest_snapshot().unwrap());
         }
         out
     }
@@ -846,6 +868,35 @@ mod tests {
     }
 
     #[test]
+    fn every_generation_is_its_eager_boundary_snapshot_encoded_with_its_link() {
+        let handle = StoreHandle::in_memory().unwrap();
+        let mut ex = config().build().with_store(handle.clone());
+        // The genesis commit captures the state before the first record.
+        let mut eager = vec![ex.snapshot().unwrap()];
+        for (e, epoch) in records(50).chunks(10).enumerate() {
+            ex.run(epoch);
+            ex.align_to_epoch(e as u64 + 1);
+            eager.push(ex.snapshot().unwrap());
+        }
+        assert_eq!(handle.stats().commits, 6);
+        let mut parent: Option<(u64, &Snapshot)> = None;
+        for (g, snap) in (1..).zip(&eager) {
+            let bytes = handle.with_backend(|b| b.read(&path(g)).unwrap());
+            let link = Snapshot::decode_link(&bytes).unwrap().1;
+            assert_eq!(
+                link,
+                parent.map(|(p, prev)| ChainLink {
+                    parent: p,
+                    results_before: prev.hfta.results.len() as u64,
+                }),
+                "gen-{g}: link"
+            );
+            assert!(bytes == snap.encode_link(link), "gen-{g}: bytes");
+            parent = Some((g, snap));
+        }
+    }
+
+    #[test]
     fn a_failed_commit_leaves_the_next_one_a_delta_over_the_old_head() {
         let snaps = boundary_snapshots(3);
         // Ops 0 and 1 are the first two commits; op 2 is the third
@@ -855,9 +906,9 @@ mod tests {
             ..StorageFaultPlan::none()
         };
         let mut store = CheckpointStore::open(Box::new(SimBackend::with_faults(plan))).unwrap();
-        let h1 = store.commit(&snaps[0], None).unwrap();
-        let h2 = store.commit(&snaps[1], Some(h1)).unwrap();
-        assert!(store.commit(&snaps[2], Some(h2)).is_err());
+        let h1 = commit(&mut store, &snaps[0], None).unwrap();
+        let h2 = commit(&mut store, &snaps[1], Some(h1)).unwrap();
+        assert!(commit(&mut store, &snaps[2], Some(h2)).is_err());
         // The failed write claimed a number but left no file: recovery
         // and scrub in the same process skip it without a fallback or a
         // quarantine.
@@ -865,7 +916,7 @@ mod tests {
         assert_eq!((got.generation, got.fallbacks), (h2.generation, 0));
         assert_eq!(store.scrub().unwrap().generations_checked, 2);
         assert_eq!(store.stats().generations_quarantined, 0);
-        let h3 = store.commit(&snaps[2], Some(h2)).unwrap();
+        let h3 = commit(&mut store, &snaps[2], Some(h2)).unwrap();
         let bytes = store.backend.read(&path(h3.generation)).unwrap();
         let (_, link) = Snapshot::decode_link(&bytes).unwrap();
         assert_eq!(
@@ -888,14 +939,14 @@ mod tests {
     fn only_a_known_intact_head_gets_a_delta() {
         let snaps = boundary_snapshots(3);
         let mut store = CheckpointStore::open(Box::new(SimBackend::new())).unwrap();
-        let h1 = store.commit(&snaps[0], None).unwrap();
-        let h2 = store.commit(&snaps[1], Some(h1)).unwrap();
+        let h1 = commit(&mut store, &snaps[0], None).unwrap();
+        let h2 = commit(&mut store, &snaps[1], Some(h1)).unwrap();
         // A head claiming a different result count is not extended.
         let liar = ChainHead {
             results: h2.results + 1,
             ..h2
         };
-        let h3 = store.commit(&snaps[2], Some(liar)).unwrap();
+        let h3 = commit(&mut store, &snaps[2], Some(liar)).unwrap();
         let base = |store: &mut CheckpointStore, g: u64| {
             let bytes = store.backend.read(&path(g)).unwrap();
             Snapshot::decode_link(&bytes).unwrap().1.is_none()
@@ -903,11 +954,11 @@ mod tests {
         assert!(base(&mut store, h3.generation));
         // A quarantined link breaks the chain below a head: base again.
         store.quarantine(h1.generation);
-        let h4 = store.commit(&snaps[2], Some(h2)).unwrap();
+        let h4 = commit(&mut store, &snaps[2], Some(h2)).unwrap();
         assert!(base(&mut store, h4.generation));
         // After a restart the store has verified nothing yet: base.
         store.rescan().unwrap();
-        let h5 = store.commit(&snaps[2], Some(h4)).unwrap();
+        let h5 = commit(&mut store, &snaps[2], Some(h4)).unwrap();
         assert!(base(&mut store, h5.generation));
     }
 

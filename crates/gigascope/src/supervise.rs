@@ -611,11 +611,13 @@ impl ShardDriver {
         }
     }
 
-    /// In-memory restart from the dead executor's last checkpoint.
+    /// In-memory restart from the dead executor's last checkpoint,
+    /// built on demand and moved into the new executor.
     fn restart_in_memory(&self) -> (Executor, u64) {
+        let hwm = self.ex.checkpoint_position().map_or(0, |(_, hwm)| hwm);
         match self.ex.latest_snapshot() {
             Some(snap) => match self.cfg.build().recover(snap) {
-                Ok(ex) => (ex, snap.records_hwm),
+                Ok(ex) => (ex, hwm),
                 // A mismatched checkpoint never aborts a supervised
                 // shard: fall back to a fresh build and replay what the
                 // buffer still holds.
@@ -631,7 +633,7 @@ impl ShardDriver {
     /// [`SupervisorPolicy::replay_capacity`]. The floor is exact in
     /// records; only whole chunks below it leave the buffer.
     fn prune(&mut self) {
-        let hwm = self.ex.latest_snapshot().map_or(0, |snap| snap.records_hwm);
+        let hwm = self.ex.checkpoint_position().map_or(0, |(_, hwm)| hwm);
         let floor = hwm
             .max(self.consumed.saturating_sub(self.policy.replay_capacity))
             .min(self.consumed);

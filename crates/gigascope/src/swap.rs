@@ -29,7 +29,7 @@
 //! recovery bit-identical to an uncrashed baseline.
 
 use crate::executor::Executor;
-use crate::snapshot::{RecoveryError, Snapshot, SnapshotError};
+use crate::snapshot::{RecoveryError, SnapshotError};
 use msa_stream::store::StoreError;
 use msa_stream::AttrSet;
 
@@ -97,7 +97,7 @@ pub struct HandoffViolation {
     pub shard: usize,
     /// Which conservation check failed.
     pub check: &'static str,
-    /// The value the old plan's snapshot holds.
+    /// The value the old plan's executor holds.
     pub expected: i128,
     /// The value the adopting new-plan executor holds.
     pub found: i128,
@@ -107,7 +107,7 @@ impl std::fmt::Display for HandoffViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shard {}: handoff check `{}` did not conserve (snapshot {}, adopted {})",
+            "shard {}: handoff check `{}` did not conserve (old plan {}, adopted {})",
             self.shard, self.check, self.expected, self.found
         )
     }
@@ -255,28 +255,18 @@ impl From<RecoveryError> for SwapError {
     }
 }
 
-/// Record mass `query`'s finished results hold in `snapshot`.
-fn snapshot_finished_mass(snapshot: &Snapshot, query: AttrSet) -> u64 {
-    snapshot
-        .hfta
-        .results
-        .iter()
-        .filter(|r| r.query == query)
-        .flat_map(|r| r.aggregates.values())
-        .map(|a| a.count)
-        .sum()
-}
-
-/// The handoff-validation phase: every conservation law the snapshot
-/// promises must hold on the adopting executor before the transaction
-/// may commit. The checks are deliberately independent of *how* the
+/// The handoff-validation phase: every conservation law the boundary
+/// state promises must hold on the adopting executor before the
+/// transaction may commit. The checks compare the adopting executor
+/// with the old one it was snapshotted from, which the transaction
+/// leaves untouched. They are deliberately independent of *how* the
 /// adoption is implemented — they recompute both sides from scratch, so
 /// a future refactor that breaks the transplant fails here, not in
 /// production results.
 pub(crate) fn validate_handoff(
     shard: usize,
     adopted: &Executor,
-    snapshot: &Snapshot,
+    old: &Executor,
     old_queries: &[AttrSet],
 ) -> Result<(), HandoffViolation> {
     let violation = |check: &'static str, expected: i128, found: i128| HandoffViolation {
@@ -286,22 +276,23 @@ pub(crate) fn validate_handoff(
         found,
     };
     let report = adopted.report();
-    if report.records != snapshot.report.records {
+    let old_report = old.report();
+    if report.records != old_report.records {
         return Err(violation(
             "record-count conservation",
-            snapshot.report.records as i128,
+            old_report.records as i128,
             report.records as i128,
         ));
     }
-    if adopted.current_epoch() != snapshot.epoch {
+    if adopted.current_epoch() != old.current_epoch() {
         return Err(violation(
             "epoch position",
-            snapshot.epoch as i128,
+            old.current_epoch() as i128,
             adopted.current_epoch() as i128,
         ));
     }
     for &q in old_queries {
-        let expected = snapshot.report.count_bias(q);
+        let expected = old_report.count_bias(q);
         let found = report.count_bias(q);
         if found != expected {
             return Err(violation(
@@ -310,7 +301,7 @@ pub(crate) fn validate_handoff(
                 found as i128,
             ));
         }
-        let expected_mass = snapshot_finished_mass(snapshot, q);
+        let expected_mass: u64 = old.hfta().totals(q).values().sum();
         let found_mass: u64 = adopted.hfta().totals(q).values().sum();
         if found_mass != expected_mass {
             return Err(violation(
@@ -320,7 +311,7 @@ pub(crate) fn validate_handoff(
             ));
         }
     }
-    let expected_lost = snapshot.guard.as_ref().map_or(0, |g| g.records_lost);
+    let expected_lost = old.guard().map_or(0, |g| g.records_lost());
     let found_lost = adopted.guard().map_or(0, |g| g.records_lost());
     if found_lost != expected_lost {
         return Err(violation(
@@ -329,7 +320,7 @@ pub(crate) fn validate_handoff(
             found_lost as i128,
         ));
     }
-    let expected_breach = snapshot.guard.as_ref().is_some_and(|g| g.bound_breached);
+    let expected_breach = old.guard().is_some_and(|g| g.bound_breached());
     let found_breach = adopted.guard().is_some_and(|g| g.bound_breached());
     if found_breach != expected_breach {
         return Err(violation(

@@ -592,10 +592,11 @@ fn bounds_survive_crash_recovery_bit_identical() {
             );
         }
         let snap = crashed.latest_snapshot().expect("genesis snapshot exists");
+        let hwm = snap.records_hwm as usize;
         let mut recovered = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
             .recover(snap)
             .unwrap_or_else(|e| panic!("{label}: recovery refused: {e}"));
-        recovered.run(&records[snap.records_hwm as usize..]);
+        recovered.run(&records[hwm..]);
         let (report, hfta) = recovered.finish();
         let bounds = BoundsReport::at_finish(&report, &hfta);
         assert_eq!(bounds, base_bounds, "{label}: bounds vs never-crashed");

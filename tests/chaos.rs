@@ -381,11 +381,12 @@ fn crash_sweep_composed_with_channel_faults_recovers_exactly() {
         }
         assert!(crashed.has_crashed(), "fuse at {what} must fire");
         let snap = crashed.latest_snapshot().expect("boundary checkpoint");
+        let hwm = snap.records_hwm as usize;
 
         let mut ex = build()
             .recover(snap)
             .unwrap_or_else(|e| panic!("recovery at {what}: {e}"));
-        ex.run(&stream.records[snap.records_hwm as usize..]);
+        ex.run(&stream.records[hwm..]);
         let (report, hfta) = ex.finish();
         assert_eq!(report, base_report, "report diverged at {what}");
         for q in [s("A"), s("B")] {

@@ -18,7 +18,7 @@
 //! * **crash equivalence** — crash any one shard at any armed point,
 //!   recover it from its boundary snapshot plus replay, and the merged
 //!   outputs are bit-identical to the same deployment never crashing;
-//! * **snapshot framing** — the deployment-wide [`ShardedSnapshot`]
+//! * **snapshot framing** — every shard's boundary checkpoint
 //!   round-trips through its binary encoding.
 //!
 //! `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix so CI can
@@ -26,7 +26,7 @@
 
 use msa_core::{
     AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Record, RunReport,
-    ShardedExecutor, ShardedSnapshot,
+    ShardedExecutor, Snapshot,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -258,12 +258,14 @@ fn matrix_crashed_shards_recover_to_no_crash_run() {
                 // No-crash durable baseline for this cell.
                 let mut baseline = build_sharded(n, &faults, guard_on, true);
                 baseline.run(&records);
-                let sharded_snap = baseline.durable_snapshot();
+                // Every shard's checkpoint frames and round-trips.
+                for k in 0..n {
+                    let snap = baseline
+                        .latest_snapshot(k)
+                        .expect("every shard checkpoints");
+                    assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+                }
                 let (want_report, want_hfta) = baseline.finish();
-                // The deployment-wide checkpoint frames and round-trips.
-                let snap = sharded_snap.expect("every shard checkpoints");
-                assert_eq!(snap.shards.len(), n);
-                assert_eq!(ShardedSnapshot::decode(&snap.encode()).unwrap(), snap);
                 // Crash the last shard at each armed point; fuses count
                 // shard-local positions.
                 let crash_shard = n - 1;
@@ -285,9 +287,8 @@ fn matrix_crashed_shards_recover_to_no_crash_run() {
                     assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
                     let snapshot = sx
                         .latest_snapshot(crash_shard)
-                        .cloned()
                         .expect("crash leaves a boundary checkpoint");
-                    sx.recover_shard(crash_shard, &snapshot, &records)
+                    sx.recover_shard(crash_shard, snapshot, &records)
                         .expect("recovery succeeds");
                     assert!(sx.crashed_shards().is_empty(), "{label}");
                     let (got_report, got_hfta) = sx.finish();

@@ -90,7 +90,6 @@ fn run_to_crash(mut ex: Executor, records: &[Record]) -> Snapshot {
     }
     assert!(ex.has_crashed(), "crash fuse must fire for this sweep");
     ex.latest_snapshot()
-        .cloned()
         .expect("genesis snapshot always exists")
 }
 
@@ -109,11 +108,12 @@ fn recover_and_compare(
     }
     let snap = run_to_crash(crashed, records);
 
+    let hwm = snap.records_hwm as usize;
     let recovered = executor(seed)
-        .recover(&snap)
+        .recover(snap)
         .unwrap_or_else(|e| panic!("{label}: recovery refused: {e}"));
     let mut ex = recovered;
-    ex.run(&records[snap.records_hwm as usize..]);
+    ex.run(&records[hwm..]);
     let (report, hfta) = ex.finish();
 
     assert_eq!(report, base.0, "{label}: RunReport must be bit-identical");
@@ -257,8 +257,9 @@ fn crash_recovery_preserves_overload_guard_state() {
             .with_crash(CrashPlan::at_record(at));
         let snap = run_to_crash(crashed, &records);
         assert!(snap.guard.is_some(), "guard state must be captured");
-        let mut ex = build().recover(&snap).expect("recovery");
-        ex.run(&records[snap.records_hwm as usize..]);
+        let hwm = snap.records_hwm as usize;
+        let mut ex = build().recover(snap).expect("recovery");
+        ex.run(&records[hwm..]);
         let (report, hfta) = ex.finish();
         assert_eq!(report, base.0, "crash at record {at}");
         assert_eq!(hfta.results(), base.1.results());
@@ -306,8 +307,9 @@ fn recovery_works_through_the_binary_encoding() {
     let snap2 = Snapshot::decode(&snap.encode()).expect("snapshot round-trip");
     assert_eq!(snap2, snap);
 
-    let mut ex = executor(seed).recover(&snap2).expect("recovery");
-    ex.run(&records[snap2.records_hwm as usize..]);
+    let hwm = snap2.records_hwm as usize;
+    let mut ex = executor(seed).recover(snap2).expect("recovery");
+    ex.run(&records[hwm..]);
     let (report, hfta) = ex.finish();
     assert_eq!(report, base.0);
     assert_eq!(hfta.results(), base.1.results());
@@ -376,7 +378,7 @@ fn corruption_sweep_truncations_and_bit_flips_yield_typed_errors() {
         }
         // The pristine checkpoint still recovers: the sweep rejected
         // copies, not the original.
-        assert!(executor(seed).recover(&snap).is_ok(), "seed {seed}");
+        assert!(executor(seed).recover(snap).is_ok(), "seed {seed}");
     }
 }
 
@@ -416,17 +418,17 @@ fn recovery_refuses_mismatched_artifacts() {
 
     // A different seed is a different configuration.
     assert!(matches!(
-        executor(seed + 1).recover(&snap),
+        executor(seed + 1).recover(snap.clone()),
         Err(RecoveryError::PlanMismatch { .. })
     ));
     // So is a different epoch length.
     assert!(matches!(
-        Executor::new(phantom_plan(), CostParams::paper(), EPOCH / 2, seed).recover(&snap),
+        Executor::new(phantom_plan(), CostParams::paper(), EPOCH / 2, seed).recover(snap.clone()),
         Err(RecoveryError::PlanMismatch { .. })
     ));
 
     // And the checkpoint is still good: the matching executor recovers.
-    assert!(executor(seed).recover(&snap).is_ok());
+    assert!(executor(seed).recover(snap).is_ok());
 }
 
 /// Manual captures are refused mid-epoch: snapshots are epoch-aligned
@@ -450,6 +452,125 @@ fn mid_epoch_capture_is_refused() {
 // mark) or an explicit, ledger-accounted fallback to an older
 // generation — and every cell must be bit-identical across two runs.
 // ---------------------------------------------------------------------
+
+/// Drives `ex` over `epochs` from index `from` on, closing every
+/// boundary explicitly. At each boundary an alive executor reaches, the
+/// on-demand checkpoint must encode exactly as the eager `snapshot()`;
+/// returns the last boundary's encoding (`last` when none is reached).
+fn drive_checkpoints(
+    ex: &mut Executor,
+    epochs: &[&[Record]],
+    from: usize,
+    mut last: Vec<u8>,
+    label: &str,
+) -> Vec<u8> {
+    for (e, batch) in epochs.iter().enumerate().skip(from) {
+        ex.run(batch);
+        ex.align_to_epoch(e as u64 + 1);
+        if ex.has_crashed() {
+            break;
+        }
+        let eager = ex.snapshot().expect("aligned").encode();
+        assert_eq!(
+            ex.latest_snapshot().map(|snap| snap.encode()),
+            Some(eager.clone()),
+            "{label}: boundary {}",
+            e + 1
+        );
+        last = eager;
+    }
+    last
+}
+
+/// The checkpoint an executor builds on demand from its boundary mark
+/// is the eager one, over {no store, in-memory store} × {no crash, a
+/// crash mid-epoch, a crash mid-flush}: at every boundary, after the
+/// crash (the last boundary's, byte for byte), and after recovery (the
+/// snapshot recovered from).
+#[test]
+fn on_demand_checkpoint_equals_the_eager_snapshot() {
+    const PER_EPOCH: usize = 100;
+    let recs = drill_records(6 * PER_EPOCH as u32);
+    let epochs: Vec<&[Record]> = recs.chunks(PER_EPOCH).collect();
+    let cfg = |crash: CrashPlan| ExecutorConfig {
+        crash,
+        ..drill_config(5)
+    };
+    // Offers made before epoch 2 closes: a fuse one past them dies
+    // right after that flush's first offer.
+    let mut probe = cfg(CrashPlan::none()).build();
+    for (e, batch) in epochs.iter().take(2).enumerate() {
+        probe.run(batch);
+        probe.align_to_epoch(e as u64 + 1);
+    }
+    probe.run(epochs[2]);
+    let offers = probe.report().intra_evictions + probe.report().flush_evictions;
+    let flushed = probe.report().flush_evictions;
+    probe.align_to_epoch(3);
+    assert!(probe.report().flush_evictions >= flushed + 2);
+    let (_, want) = drill_oracle(5, &recs);
+    for with_store in [false, true] {
+        for (name, crash) in [
+            ("no crash", CrashPlan::none()),
+            ("mid-epoch", CrashPlan::at_record(2 * PER_EPOCH as u64 + 50)),
+            ("mid-flush", CrashPlan::after_offers(offers + 1)),
+        ] {
+            let label = format!("store={with_store}/{name}");
+            let handle = StoreHandle::in_memory().unwrap();
+            let mut ex = cfg(crash).build();
+            if with_store {
+                ex = ex.with_store(handle.clone());
+            }
+            let genesis = ex.snapshot().expect("aligned").encode();
+            let last = drive_checkpoints(&mut ex, &epochs, 0, genesis, &label);
+            assert_eq!(ex.has_crashed(), !crash.is_none(), "{label}");
+            if name == "mid-flush" {
+                assert_eq!(ex.current_epoch(), 2, "{label}");
+                assert_eq!(ex.report().flush_evictions, flushed + 1, "{label}");
+            }
+            assert_eq!(
+                ex.latest_snapshot().map(|snap| snap.encode()),
+                Some(last.clone()),
+                "{label}: the checkpoint left behind is the last boundary's"
+            );
+            let (mut recovered, hwm) = if with_store {
+                // Decoded maps iterate in their own order, so the
+                // stitched chain compares as a value, not as bytes.
+                let stitched = handle.recover_artifacts().unwrap().unwrap().snapshot;
+                assert_eq!(
+                    Snapshot::decode(&last).unwrap(),
+                    stitched,
+                    "{label}: stitched chain"
+                );
+                let recovery = handle.recover_executor(&cfg(CrashPlan::none()));
+                let recovered = recovery.executor.expect("a readable chain");
+                assert_eq!(
+                    recovered.latest_snapshot(),
+                    Some(stitched),
+                    "{label}: recovered checkpoint"
+                );
+                (recovered, recovery.records_hwm)
+            } else {
+                let snap = ex.latest_snapshot().unwrap();
+                let hwm = snap.records_hwm;
+                let recovered = cfg(CrashPlan::none())
+                    .build()
+                    .recover(snap.clone())
+                    .unwrap();
+                assert_eq!(
+                    recovered.latest_snapshot(),
+                    Some(snap),
+                    "{label}: recovered checkpoint"
+                );
+                (recovered, hwm)
+            };
+            let from = usize::try_from(hwm).unwrap() / PER_EPOCH;
+            drive_checkpoints(&mut recovered, &epochs, from, last, &label);
+            let (_, got) = recovered.finish();
+            assert_eq!(got.results(), want.results(), "{label}: results");
+        }
+    }
+}
 
 /// Dense drill stream: epoch boundary every 100 records (epoch
 /// 1 000 µs, timestamps 10 µs apart) and a key space wider than every
@@ -1180,13 +1301,12 @@ fn crashed_shard_recovers_to_match_serial_run() {
             assert_eq!(sx.crashed_shards(), vec![crash_shard], "seed {seed}");
             let snapshot = sx
                 .latest_snapshot(crash_shard)
-                .cloned()
                 .expect("crashed shard has a boundary checkpoint");
             assert!(
                 snapshot.records_hwm < records.len() as u64,
                 "seed {seed}: crash landed mid-stream"
             );
-            sx.recover_shard(crash_shard, &snapshot, &records)
+            sx.recover_shard(crash_shard, snapshot, &records)
                 .expect("shard recovery succeeds");
             let (report, hfta) = sx.finish();
             assert_eq!(report.records, records.len() as u64, "seed {seed}");

@@ -12,8 +12,8 @@
 //! * identical [`RunReport`]s (every counter, cost trace and ledger);
 //! * identical per-epoch HFTA result lists;
 //! * identical guaranteed error-bound reports;
-//! * identical durable snapshots, byte-for-byte through the
-//!   [`Snapshot`] and [`ShardedSnapshot`] encodings;
+//! * identical durable snapshots, byte-for-byte through every shard's
+//!   [`Snapshot`] encoding;
 //! * identical crash/recovery outcomes when a shard dies mid-chunk.
 //!
 //! Chunking is pure batching: the executor re-derives epoch boundaries
@@ -23,7 +23,7 @@
 
 use msa_core::{
     AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Record, RecordChunk,
-    RunReport, ShardedExecutor, ShardedSnapshot, Snapshot, ValueSource,
+    RunReport, ShardedExecutor, Snapshot, ValueSource,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -190,8 +190,8 @@ fn assert_shard_matches(label: &str, got: &Executor, want: &Executor) {
     assert_eq!(got.report(), want.report(), "{label}: report");
     assert_eq!(got.bounds(), want.bounds(), "{label}: bounds");
     assert_eq!(
-        got.latest_snapshot().map(Snapshot::encode),
-        want.latest_snapshot().map(Snapshot::encode),
+        got.latest_snapshot().as_ref().map(Snapshot::encode),
+        want.latest_snapshot().as_ref().map(Snapshot::encode),
         "{label}: snapshot"
     );
     let (_, got_hfta) = got.clone().finish();
@@ -267,9 +267,15 @@ fn sharded_chunked_matches_scalar_feed_across_matrix() {
                         assert_shard_matches(&format!("{label}/shard {k}"), sx.shard(k), want);
                     }
                     let bounds = sx.bounds();
-                    let snap = sx.durable_snapshot().expect("every shard checkpoints");
+                    let snaps: Vec<Vec<u8>> = (0..n)
+                        .map(|k| {
+                            sx.latest_snapshot(k)
+                                .expect("every shard checkpoints")
+                                .encode()
+                        })
+                        .collect();
                     let (report, hfta) = sx.finish();
-                    (report, hfta, bounds, snap.encode())
+                    (report, hfta, bounds, snaps)
                 };
                 let (r1, h1, b1, s1) = run();
                 let (r2, h2, b2, s2) = run();
@@ -313,10 +319,12 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
             // No-crash durable baseline, with snapshot framing.
             let mut baseline = build_sharded(n, &faults, false, true);
             baseline.run(&records);
-            let snap = baseline
-                .durable_snapshot()
-                .expect("every shard checkpoints");
-            assert_eq!(ShardedSnapshot::decode(&snap.encode()).unwrap(), snap);
+            for k in 0..n {
+                let snap = baseline
+                    .latest_snapshot(k)
+                    .expect("every shard checkpoints");
+                assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+            }
             let (want_report, want_hfta) = baseline.finish();
             let mut crash_points = vec![
                 ("at-record-0", CrashPlan::at_record(0)),
@@ -338,8 +346,8 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                         // The checkpoint a mid-chunk death leaves is the
                         // oracle's, byte for byte.
                         assert_eq!(
-                            got.latest_snapshot().map(Snapshot::encode),
-                            want.latest_snapshot().map(Snapshot::encode),
+                            got.latest_snapshot().as_ref().map(Snapshot::encode),
+                            want.latest_snapshot().as_ref().map(Snapshot::encode),
                             "{label}: crashed shard snapshot"
                         );
                         assert_eq!(
@@ -353,9 +361,8 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                 }
                 let got_snap = sx
                     .latest_snapshot(crash_shard)
-                    .cloned()
                     .expect("crash leaves a boundary checkpoint");
-                sx.recover_shard(crash_shard, &got_snap, &records)
+                sx.recover_shard(crash_shard, got_snap, &records)
                     .expect("recovery succeeds");
                 assert!(sx.crashed_shards().is_empty(), "{label}");
                 let (got_report, got_hfta) = sx.finish();
