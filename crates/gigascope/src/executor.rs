@@ -605,8 +605,9 @@ impl Executor {
         self
     }
 
-    /// Enables automatic checkpoints: a [`Snapshot`] is captured at
-    /// every epoch boundary (and once lazily before the first record).
+    /// Enables automatic checkpoints at every epoch boundary (and once
+    /// lazily before the first record). Each is kept as a mark over the
+    /// finished results, not a copy (see [`Executor::latest_snapshot`]).
     pub fn with_snapshots(mut self) -> Executor {
         self.auto_snapshot = true;
         self

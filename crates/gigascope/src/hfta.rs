@@ -166,7 +166,7 @@ impl Hfta {
     /// prefix of [`Hfta::results`] instead of copying them. Partials of
     /// a still-open epoch (see [`Hfta::in_flight`]) are *not* captured;
     /// callers must checkpoint at an epoch boundary.
-    pub fn boundary_state(&self) -> HftaState {
+    pub(crate) fn boundary_state(&self) -> HftaState {
         HftaState {
             epoch: self.epoch,
             received: self.received,

@@ -28,9 +28,13 @@
 //! could undo a commit that had returned. Every commit takes a number
 //! above every generation on disk and every one tried since, so the
 //! last good generation is never overwritten and a crash at any byte
-//! leaves a readable store. The new generation is a delta only on
-//! top of a head whose results are known to be a prefix of the
-//! snapshot's: the head the committing executor's last successful
+//! leaves a readable store. A commit reads from borrowed parts: the
+//! executor's boundary state and its finished results, by reference,
+//! of which it encodes only the tail its link needs. Nothing moves out
+//! of the executor across the backend call, so a backend write that
+//! panics leaves the executor whole. The new generation is a delta only
+//! on top of a head whose results are known to be a prefix of the
+//! executor's: the head the committing executor's last successful
 //! commit wrote, or the one it was recovered from (its `ChainHead`
 //! cursor), and only while this store still holds that head on an
 //! intact chain. Anything else — the genesis commit, a store attached
@@ -44,8 +48,9 @@
 //! from its head down to its base. Every link must pass its frame
 //! checksum and point strictly downward, and every parent's cumulative
 //! result count must equal its child's `results_before`. The links are
-//! then stitched into one full [`Snapshot`] for
-//! [`Executor::recover`](crate::executor::Executor::recover). A candidate
+//! then stitched into one full [`Snapshot`], which moves by value into
+//! [`Executor::recover`](crate::executor::Executor::recover): the
+//! results are never copied on the way. A candidate
 //! with an unreadable link is unusable: the rotten link is quarantined
 //! and the ladder continues with older candidates, with the
 //! re-replayed/lost records accounted through `bounds.rs` as the
