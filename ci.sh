@@ -185,10 +185,38 @@ for workload in trace collide wide durable; do
 done
 # Traced once more: the run fails when the layer self times leave more
 # than 10% of the traced wall time unattributed, so the ledger keeps
-# covering the boundary commit and recovery path.
-echo "--> perfbench durable (traced)"
-timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload durable --seed 1 --seconds 2 --trace 1
+# covering the boundary commit and recovery path (durable) and the
+# epoch close's drain and blocked cascade (wide).
+for workload in durable wide; do
+    echo "--> perfbench $workload (traced)"
+    timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1
+done
+
+echo "==> figure outputs reproduce byte for byte (full scale)"
+# Every committed fig/table/ablation output is rebuilt at the scale and
+# seed it was recorded with into a temporary directory and compared
+# byte for byte, so a kernel change that claims bit-identity proves it,
+# and a change that moves a figure must regenerate it (results/README.md).
+figs=$(mktemp -d)
+count=0
+for out in results/fig*.txt results/table*.txt results/ablation*.txt; do
+    bin=$(basename "$out" .txt)
+    MSA_SCALE=1 MSA_SEED=42 timeout 900 "./target/release/$bin" > "$figs/$bin.txt"
+    if ! cmp -s "$out" "$figs/$bin.txt"; then
+        echo "error: $bin no longer prints $out byte for byte:" >&2
+        diff "$out" "$figs/$bin.txt" | head -20 >&2 || true
+        rm -rf "$figs"
+        exit 1
+    fi
+    count=$((count + 1))
+done
+rm -rf "$figs"
+echo "figure outputs: $count identical"
+if [ "$count" -lt 17 ]; then
+    echo "error: only $count figure outputs under results/ (expected >= 17)" >&2
+    exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -78,13 +78,20 @@ impl RecordChunk {
         self.ts.clear();
     }
 
-    /// Builds a chunk from a record slice.
+    /// Builds a chunk from a record slice, one column at a time: each
+    /// column is a single pass over the records into an exact-size
+    /// vector, where pushing lane by lane would grow nine vectors at
+    /// once.
     pub fn from_records(records: &[Record]) -> RecordChunk {
-        let mut chunk = RecordChunk::with_capacity(records.len());
-        for r in records {
-            chunk.push(r);
+        RecordChunk {
+            cols: std::array::from_fn(|a| {
+                records
+                    .iter()
+                    .map(|r| r.attrs.get(a).copied().unwrap_or(0))
+                    .collect()
+            }),
+            ts: records.iter().map(|r| r.ts_micros).collect(),
         }
-        chunk
     }
 
     /// Materializes the chunk back into row-major records.

@@ -82,6 +82,14 @@ impl Hasher for FastHasher {
         }
     }
 
+    /// Exactly what `write(&[i])` computes — a one-byte tail lane
+    /// tagged with its length — without the slice-chunking path. Every
+    /// `GroupKey` hash starts with its arity byte.
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.state = mix64(self.state ^ u64::from(i) ^ 1 << 56);
+    }
+
     #[inline]
     fn write_u32(&mut self, i: u32) {
         self.state = mix64(self.state ^ u64::from(i));
@@ -197,6 +205,23 @@ mod tests {
             .sum();
         // 127 degrees of freedom; p=0.001 critical value ≈ 181.
         assert!(chi2 < 181.0, "chi2 = {chi2}");
+    }
+
+    #[test]
+    fn write_u8_equals_a_one_byte_write() {
+        for seed in [0, 1, 7, 0xDEAD_BEEF, u64::MAX] {
+            let mut prefix = FastHasher::with_seed(seed);
+            prefix.write_u32(seed as u32);
+            for start in [FastHasher::with_seed(seed), prefix] {
+                for b in 0..=u8::MAX {
+                    let mut fast = start.clone();
+                    fast.write_u8(b);
+                    let mut slice = start.clone();
+                    slice.write(&[b]);
+                    assert_eq!(fast.finish(), slice.finish(), "seed {seed} byte {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use gen::{
 };
 pub use hash::{FastHasher, FastState};
 pub use prng::SplitMix64;
-pub use record::{GroupKey, Record, Schema};
+pub use record::{GroupKey, KeyProjection, Record, Schema};
 pub use stats::DatasetStats;
 pub use store::{
     atomic_write, DiskBackend, SimBackend, StorageBackend, StorageFaultPlan, StoreError,

@@ -114,7 +114,10 @@ impl Record {
 ///
 /// Values are stored in ascending attribute-id order, so two records in
 /// the same group always produce identical keys. The type is `Copy` and
-/// allocation-free; equality and hashing consider only the live prefix.
+/// allocation-free. Every constructor zeroes the words past the arity,
+/// so equality compares the arity and the whole fixed-width array
+/// (which equals comparing the live prefixes), while hashing reads only
+/// the live prefix.
 #[derive(Clone, Copy)]
 pub struct GroupKey {
     vals: [u32; MAX_ATTRS],
@@ -168,22 +171,13 @@ impl GroupKey {
     ///
     /// `own` must be the attribute set this key was projected on and
     /// `target ⊆ own`; this is the feed path from a phantom table entry to
-    /// a child table.
+    /// a child table. A caller that re-projects many keys along the same
+    /// edge builds the [`KeyProjection`] once instead.
     #[inline]
     pub fn reproject(&self, own: AttrSet, target: AttrSet) -> GroupKey {
         debug_assert!(target.is_subset_of(own));
         debug_assert_eq!(own.len(), self.arity());
-        let mut vals = [0u32; MAX_ATTRS];
-        let mut out = 0u8;
-        for (slot, a) in own.iter().enumerate() {
-            if target.contains(a) {
-                if let (Some(dst), Some(&src)) = (vals.get_mut(out as usize), self.vals.get(slot)) {
-                    *dst = src;
-                    out += 1;
-                }
-            }
-        }
-        GroupKey { vals, len: out }
+        KeyProjection::new(own, target).apply(self)
     }
 
     /// Hashes the key with an explicit seed (used by LFTA tables so that
@@ -195,9 +189,12 @@ impl GroupKey {
 }
 
 impl PartialEq for GroupKey {
+    /// Arity plus all [`MAX_ATTRS`] words: a fixed-width compare with no
+    /// length-dependent loop, equal to comparing [`GroupKey::values`]
+    /// because every constructor zeroes the words past the arity.
     #[inline]
     fn eq(&self, other: &GroupKey) -> bool {
-        self.values() == other.values()
+        self.len == other.len && self.vals == other.vals
     }
 }
 
@@ -209,6 +206,69 @@ impl Hash for GroupKey {
         state.write_u8(self.len);
         for &v in self.values() {
             state.write_u32(v);
+        }
+    }
+}
+
+/// The re-projection of one relation's keys onto a subset of its
+/// attributes, resolved to value positions once.
+///
+/// Child position `j` of a projected key takes the parent's value at
+/// position `from[j]`; positions past the child's arity are masked to
+/// zero. An executor builds one per plan edge, so a cascade gathers each
+/// child key from fixed positions instead of walking two attribute sets
+/// per entry. [`GroupKey::reproject`] is this projection built on the
+/// spot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeyProjection {
+    /// Parent value position feeding each child position (0 when dead).
+    from: [u8; MAX_ATTRS],
+    /// All ones at the child's live positions, zero past its arity.
+    mask: [u32; MAX_ATTRS],
+    /// Arity of the projected keys.
+    len: u8,
+}
+
+// `apply` wraps a position into range with `& (MAX_ATTRS - 1)`.
+const _: () = assert!(MAX_ATTRS.is_power_of_two());
+
+impl KeyProjection {
+    /// The projection from keys over `own` onto `target`: the attributes
+    /// of `target` that `own` holds, in ascending attribute order.
+    pub fn new(own: AttrSet, target: AttrSet) -> KeyProjection {
+        let mut from = [0u8; MAX_ATTRS];
+        let mut mask = [0u32; MAX_ATTRS];
+        let mut len = 0u8;
+        for (slot, a) in own.iter().enumerate() {
+            if target.contains(a) {
+                if let (Some(src), Some(live)) =
+                    (from.get_mut(len as usize), mask.get_mut(len as usize))
+                {
+                    *src = slot as u8;
+                    *live = u32::MAX;
+                    len += 1;
+                }
+            }
+        }
+        KeyProjection { from, mask, len }
+    }
+
+    /// Projects `key`: a branch-free gather over all [`MAX_ATTRS`]
+    /// positions, leaving the words past the arity zero.
+    #[inline]
+    pub fn apply(&self, key: &GroupKey) -> GroupKey {
+        let mut vals = [0u32; MAX_ATTRS];
+        for ((dst, &src), &live) in vals.iter_mut().zip(&self.from).zip(&self.mask) {
+            let v = key
+                .vals
+                .get(usize::from(src) & (MAX_ATTRS - 1))
+                .copied()
+                .unwrap_or(0);
+            *dst = v & live;
+        }
+        GroupKey {
+            vals,
+            len: self.len,
         }
     }
 }
@@ -282,6 +342,61 @@ mod tests {
         let k = r.project(bcd);
         let bd = AttrSet::parse("BD").unwrap();
         assert_eq!(k.reproject(bcd, bd), r.project(bd));
+    }
+
+    #[test]
+    fn projection_matches_reproject_for_every_subset() {
+        let r = rec(&[11, 22, 33, 44, 55, 66, 77, 88]);
+        for own_bits in 1u16..256 {
+            let own = AttrSet::from_bits(own_bits).unwrap();
+            let key = r.project(own);
+            for target in crate::attr::subsets_of(own) {
+                let proj = KeyProjection::new(own, target);
+                assert_eq!(proj.apply(&key), r.project(target), "{own} -> {target}");
+                assert_eq!(key.reproject(own, target), r.project(target));
+            }
+        }
+    }
+
+    #[test]
+    fn constructors_zero_the_words_past_the_arity() {
+        let zero_tail = |k: &GroupKey| k.vals.iter().skip(k.arity()).all(|&w| w == 0);
+        let r = rec(&[u32::MAX, 1, u32::MAX, 3, u32::MAX, 5, u32::MAX, 7]);
+        let chunk = crate::chunk::RecordChunk::from_records(&[r, r, r]);
+        for bits in 1u16..256 {
+            let set = AttrSet::from_bits(bits).unwrap();
+            let key = r.project(set);
+            assert!(zero_tail(&key), "project {set}");
+            assert!(
+                zero_tail(&GroupKey::from_values(key.values())),
+                "from_values {set}"
+            );
+            let mut packed = Vec::new();
+            chunk.project_range(set, 0, 3, &mut packed);
+            assert!(packed.iter().all(zero_tail), "project_range {set}");
+            for target in crate::attr::subsets_of(set) {
+                assert!(zero_tail(&KeyProjection::new(set, target).apply(&key)));
+                assert!(zero_tail(&key.reproject(set, target)));
+            }
+        }
+    }
+
+    #[test]
+    fn equality_is_arity_and_values() {
+        let keys = [
+            GroupKey::from_values(&[]),
+            GroupKey::from_values(&[0]),
+            GroupKey::from_values(&[0, 0]),
+            GroupKey::from_values(&[7]),
+            GroupKey::from_values(&[7, 0]),
+            GroupKey::from_values(&[7, 8]),
+            rec(&[7, 8, 9]).project(AttrSet::parse("AB").unwrap()),
+        ];
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a == b, a.values() == b.values(), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use msa_gigascope::{PhysicalPlan, PlanNode};
 use msa_optimizer::cost::{per_record_cost, CostContext};
 use msa_optimizer::{AllocStrategy, FeedingGraph};
 use msa_stream::hash::FastMap;
-use msa_stream::{DatasetStats, GroupKey, SplitMix64};
+use msa_stream::{DatasetStats, GroupKey, KeyProjection, RecordChunk, SplitMix64};
 use std::collections::BTreeSet;
 
 /// A non-empty set of distinct non-empty attribute subsets over 4
@@ -276,6 +276,70 @@ fn reprojection_commutes() {
             ts_micros: 0,
         };
         assert_eq!(r.project(own).reproject(own, target), r.project(target));
+    }
+}
+
+/// Every `GroupKey` constructor — `from_values`, `Record::project`,
+/// `RecordChunk::project_range`, the edge projection and snapshot
+/// decode — leaves the words past the arity zero, so the fixed-width
+/// `==` (arity plus all eight words) agrees with comparing the live
+/// values. A key with a nonzero word past its arity would differ from
+/// its own `from_values` rebuild, which zeroes them.
+#[test]
+fn group_keys_zero_their_dead_words_and_compare_by_value() {
+    let mut rng = SplitMix64::new(0xE9);
+    let mut keys: Vec<GroupKey> = Vec::new();
+    for _ in 0..150 {
+        // A three-value domain, so equal values at different arities
+        // ([0] vs [0, 0]) and equal keys from different paths both occur.
+        let mut attrs = [0u32; 8];
+        for slot in &mut attrs {
+            *slot = rng.gen_u32_below(3);
+        }
+        let r = Record {
+            attrs,
+            ts_micros: 0,
+        };
+        let own = AttrSet::from_bits(1 + rng.gen_u32_below(255) as u16).unwrap();
+        let target = AttrSet::from_bits(rng.gen_u32_below(256) as u16 & own.bits()).unwrap();
+        let key = r.project(own);
+        keys.push(key);
+        keys.push(GroupKey::from_values(&attrs[..rng.gen_index(9)]));
+        keys.push(KeyProjection::new(own, target).apply(&key));
+        RecordChunk::from_records(&[r, r]).project_range(own, 0, 2, &mut keys);
+    }
+    // Snapshot decode: results of queries of arity 1 to 4.
+    let s = |x: &str| AttrSet::parse(x).unwrap();
+    let node = |attrs: &str, parent: Option<usize>, is_query: bool| PlanNode {
+        attrs: s(attrs),
+        parent,
+        buckets: 5,
+        is_query,
+    };
+    let plan = PhysicalPlan::new(vec![
+        node("ABCD", None, true),
+        node("ABC", Some(0), true),
+        node("AC", Some(1), true),
+        node("D", Some(0), true),
+    ])
+    .unwrap();
+    let mut ex = Executor::new(plan, CostParams::paper(), 100, 3).with_snapshots();
+    ex.run(&record_batch(&mut rng));
+    ex.flush_epoch();
+    let snap = ex.snapshot().expect("aligned after a close");
+    let decoded = msa_gigascope::Snapshot::decode(&snap.encode()).expect("round trip");
+    let before = keys.len();
+    for result in &decoded.hfta.results {
+        keys.extend(result.aggregates.keys().copied());
+    }
+    assert!(keys.len() > before + 20, "decode must contribute keys");
+    for k in &keys {
+        assert_eq!(*k, GroupKey::from_values(k.values()), "dead words of {k:?}");
+    }
+    for a in &keys {
+        for b in keys.iter().step_by(7) {
+            assert_eq!(a == b, a.values() == b.values(), "{a:?} vs {b:?}");
+        }
     }
 }
 
