@@ -132,7 +132,7 @@ impl TableStats {
 /// cascade and [`LftaTable::drain`] each warm one block of this many
 /// slots, then work through it. A block's lines still fit in L1 when
 /// the work on them starts.
-pub const WARM_BLOCK: usize = 32;
+pub(crate) const WARM_BLOCK: usize = 32;
 
 /// Reduces a 64-bit hash to a bucket index without a division.
 ///
@@ -356,7 +356,7 @@ impl LftaTable {
     /// order (end-of-epoch flush). Walks the set bits of the occupancy
     /// bitmap, so it reads only occupied slots and writes only the
     /// bitmap words that had bits set. The occupied buckets it finds are
-    /// copied a [`WARM_BLOCK`] at a time, each block's lines warmed
+    /// copied a `WARM_BLOCK` at a time, each block's lines warmed
     /// first so their loads overlap.
     pub fn drain(&mut self) -> Vec<Entry> {
         let mut out = Vec::with_capacity(self.occupied);

@@ -345,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn projection_matches_reproject_for_every_subset() {
+    fn projection_matches_direct_projection_for_every_pair() {
         let r = rec(&[11, 22, 33, 44, 55, 66, 77, 88]);
         for own_bits in 1u16..256 {
             let own = AttrSet::from_bits(own_bits).unwrap();
