@@ -186,7 +186,7 @@ done
 # Traced once more: the run fails when the layer self times leave more
 # than 10% of the traced wall time unattributed, so the ledger keeps
 # covering the boundary commit and recovery path (durable) and the
-# epoch close's drain and blocked cascade (wide).
+# epoch close's drain and cascade (wide).
 for workload in durable wide; do
     echo "--> perfbench $workload (traced)"
     timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \

@@ -26,7 +26,7 @@ use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
 use crate::snapshot::{plan_fingerprint, RecoveryError, Snapshot, SnapshotError};
 use crate::store::{ChainHead, StoreHandle};
-use crate::table::{AggState, Entry, LftaTable, Probe, TableStats, WARM_BLOCK};
+use crate::table::{AggState, Entry, LftaTable, Probe, TableStats};
 use crate::CostParams;
 use msa_stream::hash::mix64;
 use msa_stream::{
@@ -714,13 +714,6 @@ impl Executor {
     /// Pushes `(key, count)` into node `i`'s table and cascades any
     /// eviction.
     fn push(&mut self, i: usize, key: GroupKey, agg: AggState) {
-        let slot = self.tables.get(i).map_or(0, |t| t.slot_of(&key));
-        self.push_at(i, slot, key, agg);
-    }
-
-    /// [`Executor::push`] into bucket `slot`, precomputed by
-    /// [`LftaTable::slot_of`].
-    fn push_at(&mut self, i: usize, slot: usize, key: GroupKey, agg: AggState) {
         if self.crashed {
             return;
         }
@@ -732,7 +725,7 @@ impl Executor {
         let Some(table) = self.tables.get_mut(i) else {
             return;
         };
-        if let Probe::Evicted(old) = table.probe_at(slot, key, agg) {
+        if let Probe::Evicted(old) = table.probe(key, agg) {
             self.emit(i, &[old]);
         }
     }
@@ -789,9 +782,7 @@ impl Executor {
     /// at once through this same routine. Each table therefore sees the
     /// probe sequence an entry-by-entry cascade would give it, while a
     /// flush works on one child table at a time instead of interleaving
-    /// all of them. A drained table reaches each child a [`WARM_BLOCK`]
-    /// at a time ([`Executor::cascade_block`]); a single evicted entry
-    /// goes straight to [`Executor::push`].
+    /// all of them.
     ///
     /// Generic over the container so that an eviction, passed as a
     /// one-element array, compiles with its length known: the loops over
@@ -855,46 +846,13 @@ impl Executor {
         let mut k = 0;
         while let Some(&edge) = self.edges.get(i).and_then(|out| out.get(k)) {
             k += 1;
-            if let [e] = entries {
-                if self.crashed {
-                    return;
-                }
-                self.push(edge.child, edge.proj.apply(&e.key), e.agg);
-                continue;
-            }
-            for block in entries.chunks(WARM_BLOCK) {
-                self.cascade_block(edge, block);
+            for e in entries {
                 if self.crashed {
                     // Died mid-cascade: the rest vanishes with the process.
                     return;
                 }
+                self.push(edge.child, edge.proj.apply(&e.key), e.agg);
             }
-        }
-    }
-
-    /// Feeds `block` (at most [`WARM_BLOCK`] entries) into `edge`'s
-    /// child in the ingest path's three passes: project every key and
-    /// compute its bucket, warm those buckets, then probe them in entry
-    /// order with the per-entry crash check. The probes, and every
-    /// eviction they cascade, are exactly those of pushing the entries
-    /// one at a time.
-    fn cascade_block(&mut self, edge: Edge, block: &[Entry]) {
-        let mut keys = [GroupKey::from_values(&[]); WARM_BLOCK];
-        let mut slots = [0usize; WARM_BLOCK];
-        if let Some(table) = self.tables.get(edge.child) {
-            for ((e, key), slot) in block.iter().zip(&mut keys).zip(&mut slots) {
-                *key = edge.proj.apply(&e.key);
-                *slot = table.slot_of(key);
-            }
-            for &slot in slots.get(..block.len()).unwrap_or(&[]) {
-                table.warm_slot(slot);
-            }
-        }
-        for ((e, &key), &slot) in block.iter().zip(&keys).zip(&slots) {
-            if self.crashed {
-                return;
-            }
-            self.push_at(edge.child, slot, key, e.agg);
         }
     }
 
@@ -1128,6 +1086,7 @@ impl Executor {
             && self.guard.is_none()
             && pass_all
             && matches!(self.value_source, ValueSource::None);
+        const WARM_BLOCK: usize = 32;
         let mut block = 0usize;
         while block < seg && !self.crashed {
             let block_end = (block + WARM_BLOCK).min(seg);
@@ -2353,48 +2312,18 @@ mod tests {
         }
     }
 
-    /// The close as it was before the cascade went a block at a time:
-    /// each drained table reaches the HFTA whole, then each child one
-    /// entry at a time, re-projected per entry. Child-major like the
-    /// blocked cascade, so under a crash fuse it dies at the same probe,
-    /// which an entry-major drain does not. Leaves the executor where
-    /// `flush_epoch` would: crashed, or drained with the epoch still
-    /// open.
-    fn one_at_a_time_drain(ex: &mut Executor) {
-        ex.in_flush = true;
-        for i in 0..ex.tables.len() {
-            let entries = ex.tables[i].drain();
-            let edges = std::mem::take(&mut ex.edges[i]);
-            ex.emit(i, &entries);
-            ex.edges[i] = edges;
-            let own = ex.plan.nodes()[i].attrs;
-            for edge in ex.edges[i].clone() {
-                let child_attrs = ex.plan.nodes()[edge.child].attrs;
-                for e in &entries {
-                    if ex.crashed {
-                        return;
-                    }
-                    ex.push(edge.child, e.key.reproject(own, child_attrs), e.agg);
-                }
-            }
-            if ex.crashed {
-                return;
-            }
-        }
-    }
-
-    /// ABCD feeds a query AB that feeds a query A, and a phantom BCD
-    /// with three query children. Tiny tables over a narrow key range
-    /// make every drained entry collide on its way down; ABCD drains
-    /// more than one [`WARM_BLOCK`] at every close.
-    fn cascade_plan() -> PhysicalPlan {
+    #[test]
+    fn child_by_child_flush_matches_entry_major_reference() {
+        // ABCD feeds a query AB that feeds a query A, and a phantom BCD
+        // with three query children. Tiny tables over a narrow key range
+        // make every drained entry collide on its way down.
         let node = |attrs: &str, parent: Option<usize>, buckets: usize, is_query: bool| PlanNode {
             attrs: s(attrs),
             parent,
             buckets,
             is_query,
         };
-        PhysicalPlan::new(vec![
+        let plan = PhysicalPlan::new(vec![
             node("ABCD", None, 61, false),
             node("AB", Some(0), 7, true),
             node("A", Some(1), 3, true),
@@ -2403,14 +2332,9 @@ mod tests {
             node("BD", Some(3), 4, true),
             node("CD", Some(3), 5, true),
         ])
-        .unwrap()
-    }
-
-    /// Six 1 s epochs of 1,000 records each over [`cascade_plan`]'s
-    /// narrow key range.
-    fn cascade_records() -> Vec<Record> {
+        .unwrap();
         let mut rng = msa_stream::SplitMix64::new(0xF1_05);
-        (0..6_000u64)
+        let recs: Vec<Record> = (0..6_000u64)
             .map(|i| {
                 let vals = [
                     rng.gen_u32_below(6),
@@ -2420,14 +2344,9 @@ mod tests {
                 ];
                 Record::new(&vals, i * 1_000)
             })
-            .collect()
-    }
-
-    #[test]
-    fn child_by_child_flush_matches_entry_major_reference() {
-        let recs = cascade_records();
+            .collect();
         let epoch_micros = 1_000_000;
-        let mut flushed = Executor::new(cascade_plan(), CostParams::paper(), epoch_micros, 5)
+        let mut flushed = Executor::new(plan, CostParams::paper(), epoch_micros, 5)
             .with_value_source(ValueSource::Attr(3))
             .with_snapshots();
         let mut reference = flushed.clone();
@@ -2468,50 +2387,5 @@ mod tests {
         for q in ["AB", "A", "BC", "BD", "CD"] {
             assert_eq!(hfta.totals(s(q)), exact_counts(&recs, s(q)), "query {q}");
         }
-    }
-
-    #[test]
-    fn crash_inside_a_cascade_block_matches_one_at_a_time_reference() {
-        // Arm an `after_offers` fuse a few offers past each boundary's
-        // count, so the executor dies while ABCD's drained entries are
-        // still cascading: the first offers of a close come from AB's
-        // evictions, part way through a block of ABCD → AB probes. Both
-        // copies must die at the same probe and leave the same state.
-        let recs = cascade_records();
-        let mut live = Executor::new(cascade_plan(), CostParams::paper(), 1_000_000, 5)
-            .with_value_source(ValueSource::Attr(3))
-            .with_snapshots();
-        let mut mid_block = 0;
-        for epoch in recs.chunks(1_000) {
-            live.run(epoch);
-            let drained = live.tables[0].occupied();
-            assert!(drained > WARM_BLOCK, "ABCD must drain several blocks");
-            let offers = live.report.intra_evictions + live.report.flush_evictions;
-            let ab_probes = live.tables[1].stats().probes;
-            for extra in [1, 2, 3, 5, 8, 13, 21, 34, 55] {
-                let mut flushed = live.clone();
-                flushed.crash.after_offers = Some(offers + extra);
-                let mut reference = flushed.clone();
-                flushed.flush_epoch();
-                one_at_a_time_drain(&mut reference);
-                reference.flush_epoch();
-                assert!(flushed.crashed && reference.crashed, "fuse at +{extra}");
-                assert_eq!(flushed.report(), reference.report(), "fuse at +{extra}");
-                assert_eq!(flushed.report().epochs, live.report().epochs);
-                assert_eq!(flushed.table_stats(), reference.table_stats());
-                let (Some(a), Some(b)) = (flushed.latest_snapshot(), reference.latest_snapshot())
-                else {
-                    panic!("both copies checkpoint at every boundary");
-                };
-                assert_eq!(a.encode(), b.encode(), "snapshot bytes, fuse at +{extra}");
-                // AB's flush probes are the ABCD entries fed to it so far.
-                let fed = (flushed.tables[1].stats().probes - ab_probes) as usize;
-                if fed > 0 && fed < drained && !fed.is_multiple_of(WARM_BLOCK) {
-                    mid_block += 1;
-                }
-            }
-            live.flush_epoch();
-        }
-        assert!(mid_block > 0, "no fuse fired inside a cascade block");
     }
 }

@@ -127,50 +127,6 @@ impl TableStats {
     }
 }
 
-/// How many independent bucket loads the batched paths issue before
-/// they use the first of them: the chunked ingest probe, the epoch-close
-/// cascade and [`LftaTable::drain`] each warm one block of this many
-/// slots, then work through it. A block's lines still fit in L1 when
-/// the work on them starts.
-pub(crate) const WARM_BLOCK: usize = 32;
-
-/// Reduces a 64-bit hash to a bucket index without a division.
-///
-/// With `m = ceil(2^128 / b)`, the bucket `h % b` is the high 64 bits of
-/// `(m · h mod 2^128) · b`, exactly, for every 64-bit `h` and every
-/// `b ≥ 1` (Lemire, Kaser & Kurz, "Faster Remainder by Direct
-/// Computation", 2019): two wide multiplies where `%` costs a 64-bit
-/// division on every probe.
-#[derive(Clone, Copy, Debug)]
-struct BucketReducer {
-    /// `ceil(2^128 / b)`, which wraps to 0 at `b = 1` — where every hash
-    /// reduces to bucket 0 anyway.
-    m: u128,
-    b: u64,
-}
-
-impl BucketReducer {
-    fn new(buckets: u64) -> BucketReducer {
-        let b = buckets.max(1);
-        BucketReducer {
-            m: (u128::MAX / u128::from(b)).wrapping_add(1),
-            b,
-        }
-    }
-
-    /// `h % b`.
-    #[inline]
-    fn reduce(&self, h: u64) -> u64 {
-        let frac = self.m.wrapping_mul(u128::from(h));
-        let b = u128::from(self.b);
-        // High 64 bits of the 192-bit `frac · b`, from two 64×64 halves;
-        // neither product nor their sum can overflow 128 bits.
-        let low = ((frac & u128::from(u64::MAX)) * b) >> 64;
-        let high = (frac >> 64) * b;
-        ((high + low) >> 64) as u64
-    }
-}
-
 /// One bucket: an [`Entry`] padded to exactly one 64-byte cache line.
 ///
 /// Occupancy lives in the table's bitmap, not in the slot, so the slot
@@ -201,29 +157,6 @@ impl Slot {
     }
 }
 
-/// Loads bucket `idx`'s line (a no-op out of range); see
-/// [`LftaTable::warm_slot`].
-#[inline]
-fn warm(slots: &[Slot], idx: usize) {
-    if let Some(Slot(entry)) = slots.get(idx) {
-        std::hint::black_box(entry.agg.count);
-    }
-}
-
-/// Copies the entries of occupied buckets `block` onto `out`, after
-/// warming all of their lines so the loads overlap.
-#[inline]
-fn copy_warmed(slots: &[Slot], block: &[usize], out: &mut Vec<Entry>) {
-    for &idx in block {
-        warm(slots, idx);
-    }
-    for &idx in block {
-        if let Some(Slot(entry)) = slots.get(idx) {
-            out.push(*entry);
-        }
-    }
-}
-
 /// A single-slot hash table over the groups of one relation.
 ///
 /// Bucket `i` is occupied exactly when bit `i % 64` of occupancy word
@@ -234,7 +167,6 @@ fn copy_warmed(slots: &[Slot], block: &[usize], out: &mut Vec<Entry>) {
 pub struct LftaTable {
     attrs: AttrSet,
     seed: u64,
-    reducer: BucketReducer,
     slots: Vec<Slot>,
     occupancy: Vec<u64>,
     occupied: usize,
@@ -254,7 +186,6 @@ impl LftaTable {
         LftaTable {
             attrs,
             seed,
-            reducer: BucketReducer::new(buckets as u64),
             slots: vec![Slot::vacant(); buckets],
             occupancy: vec![0; buckets.div_ceil(64)],
             occupied: 0,
@@ -291,13 +222,13 @@ impl LftaTable {
         self.stats
     }
 
-    /// The bucket index `key` hashes to: its seeded hash modulo the
-    /// bucket count. Pure: the chunked probe and the close's cascade
-    /// precompute slots for a whole block of keys before touching the
-    /// table, so the loads of the slot array overlap.
+    /// The bucket index `key` hashes to. Pure: the chunked probe
+    /// precomputes slots for a whole batch of keys before touching
+    /// the table, so the loads of the slot array overlap.
     #[inline]
     pub fn slot_of(&self, key: &GroupKey) -> usize {
-        self.reducer.reduce(key.hash_with_seed(self.seed)) as usize
+        let len = self.slots.len() as u64;
+        (key.hash_with_seed(self.seed) % len.max(1)) as usize
     }
 
     /// Touches bucket `idx` so its cache line is resident before the
@@ -309,7 +240,9 @@ impl LftaTable {
     /// key the probe compares and the aggregate it writes.
     #[inline]
     pub fn warm_slot(&self, idx: usize) {
-        warm(&self.slots, idx);
+        if let Some(Slot(entry)) = self.slots.get(idx) {
+            std::hint::black_box(entry.agg.count);
+        }
     }
 
     /// Probes the table with `key`, merging `agg` into the occupant
@@ -355,31 +288,21 @@ impl LftaTable {
     /// Removes and returns all occupied entries in ascending bucket
     /// order (end-of-epoch flush). Walks the set bits of the occupancy
     /// bitmap, so it reads only occupied slots and writes only the
-    /// bitmap words that had bits set. The occupied buckets it finds are
-    /// copied a `WARM_BLOCK` at a time, each block's lines warmed
-    /// first so their loads overlap.
+    /// bitmap words that had bits set.
     pub fn drain(&mut self) -> Vec<Entry> {
         let mut out = Vec::with_capacity(self.occupied);
-        let mut block = [0usize; WARM_BLOCK];
-        let mut found = 0usize;
-        for (w, word) in self.occupancy.iter_mut().enumerate() {
+        for (word, block) in self.occupancy.iter_mut().zip(self.slots.chunks(64)) {
             if *word == 0 {
                 continue;
             }
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                if let Some(idx) = block.get_mut(found) {
-                    *idx = w * 64 + bits.trailing_zeros() as usize;
-                    found += 1;
+                if let Some(Slot(entry)) = block.get(bits.trailing_zeros() as usize) {
+                    out.push(*entry);
                 }
                 bits &= bits - 1;
-                if found == WARM_BLOCK {
-                    copy_warmed(&self.slots, &block, &mut out);
-                    found = 0;
-                }
             }
         }
-        copy_warmed(&self.slots, block.get(..found).unwrap_or(&[]), &mut out);
         self.occupied = 0;
         out
     }
@@ -628,15 +551,13 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The table as it was before the occupancy bitmap and the
-    /// multiply reduction: an optional entry per bucket (held sparsely,
-    /// by bucket index) and a drain in ascending bucket order. It hashes
-    /// on its own (`hash % buckets`), so it pins [`LftaTable::slot_of`]
-    /// too.
+    /// The table as it was before the occupancy bitmap: an `Option`
+    /// tag per slot and a drain that scans every bucket. It hashes on
+    /// its own (`hash % buckets`), so it pins [`LftaTable::slot_of`] too.
     struct ModelTable {
         seed: u64,
-        buckets: u64,
-        slots: std::collections::BTreeMap<u64, Entry>,
+        slots: Vec<Option<Entry>>,
+        occupied: usize,
         stats: TableStats,
     }
 
@@ -644,21 +565,17 @@ mod tests {
         fn new(buckets: usize, seed: u64) -> ModelTable {
             ModelTable {
                 seed,
-                buckets: buckets as u64,
-                slots: std::collections::BTreeMap::new(),
+                slots: vec![None; buckets],
+                occupied: 0,
                 stats: TableStats::default(),
             }
         }
 
-        fn occupied(&self) -> usize {
-            self.slots.len()
-        }
-
         fn probe(&mut self, key: GroupKey, agg: AggState) -> Probe {
-            let idx = key.hash_with_seed(self.seed) % self.buckets;
+            let idx = (key.hash_with_seed(self.seed) % self.slots.len() as u64) as usize;
             self.stats.probes += 1;
-            match self.slots.get_mut(&idx) {
-                Some(entry) if entry.key.values() == key.values() => {
+            match &mut self.slots[idx] {
+                Some(entry) if entry.key == key => {
                     entry.agg.merge(&agg);
                     Probe::Hit
                 }
@@ -668,15 +585,17 @@ mod tests {
                     self.stats.absorbed_before_eviction += evicted.agg.count;
                     Probe::Evicted(evicted)
                 }
-                None => {
-                    self.slots.insert(idx, Entry { key, agg });
+                slot @ None => {
+                    *slot = Some(Entry { key, agg });
+                    self.occupied += 1;
                     Probe::Inserted
                 }
             }
         }
 
         fn drain(&mut self) -> Vec<Entry> {
-            std::mem::take(&mut self.slots).into_values().collect()
+            self.occupied = 0;
+            self.slots.iter_mut().filter_map(Option::take).collect()
         }
     }
 
@@ -685,24 +604,16 @@ mod tests {
         let ab = AttrSet::parse("AB").unwrap();
         // Bucket counts straddle the 64-bucket occupancy word: a single
         // bucket, one short of a word, exactly one, one over, and a
-        // partial last word on a larger table; then the smallest counts
-        // past one, a prime, and a power of two as large as perfbench's
-        // phantom (4 Mi buckets), where the reduction's high bits matter.
-        for buckets in [1usize, 2, 3, 63, 64, 65, 4097, 20_011, 1 << 22] {
+        // partial last word on a larger table.
+        for buckets in [1usize, 63, 64, 65, 4097] {
             let seed = 0x7AB1E ^ buckets as u64;
             let mut table = LftaTable::new(ab, buckets, seed);
             let mut model = ModelTable::new(buckets, seed);
             let mut rng = msa_stream::SplitMix64::new(buckets as u64);
             let groups = (2 * buckets) as u32;
             // Sparse, dense and overfull epochs, so drains see isolated
-            // bits, partly full words and full words; the largest table
-            // gets a sparse, a tiny and a 1%-full epoch only.
-            let epochs = if buckets > 100_000 {
-                [4_096, 2, buckets / 100, 0]
-            } else {
-                [buckets / 3 + 1, 4 * buckets, 2, 10 * buckets + 7]
-            };
-            for probes in epochs.into_iter().filter(|&p| p > 0) {
+            // bits, partly full words and full words.
+            for probes in [buckets / 3 + 1, 4 * buckets, 2, 10 * buckets + 7] {
                 for _ in 0..probes {
                     let k = key(&[rng.gen_u32_below(groups), rng.gen_u32_below(2)]);
                     let agg = AggState::from_value(rng.gen_u32_below(1_000));
@@ -711,7 +622,7 @@ mod tests {
                         model.probe(k, agg),
                         "{buckets} buckets"
                     );
-                    assert_eq!(table.occupied(), model.occupied(), "{buckets} buckets");
+                    assert_eq!(table.occupied(), model.occupied, "{buckets} buckets");
                 }
                 assert_eq!(table.stats(), model.stats, "{buckets} buckets");
                 let drained = table.drain();
@@ -719,44 +630,6 @@ mod tests {
                 assert!(!drained.is_empty());
                 assert_eq!(table.occupied(), 0);
                 assert!(table.drain().is_empty(), "{buckets} buckets: second drain");
-            }
-        }
-    }
-
-    #[test]
-    fn multiply_reduction_equals_modulo() {
-        let mut rng = msa_stream::SplitMix64::new(0x1E41);
-        let counts = [
-            1u64,
-            2,
-            3,
-            63,
-            64,
-            65,
-            4097,
-            20_011,
-            1 << 22,
-            (1 << 32) - 1,
-            1 << 32,
-            (1 << 32) + 1,
-            u64::MAX / 3,
-            u64::MAX - 1,
-            u64::MAX,
-        ];
-        for b in counts {
-            let r = BucketReducer::new(b);
-            let edges = [0, 1, b - 1, b, b.wrapping_add(1), u64::MAX, u64::MAX - 1];
-            let random = (0..10_000).map(|_| rng.next_u64());
-            for h in edges.into_iter().chain(random) {
-                assert_eq!(r.reduce(h), h % b, "h = {h}, b = {b}");
-            }
-        }
-        // Random bucket counts too, small and large.
-        for _ in 0..2_000 {
-            let b = (rng.next_u64() >> rng.gen_u32_below(64)).max(1);
-            let r = BucketReducer::new(b);
-            for h in [0, b - 1, b, u64::MAX, rng.next_u64(), rng.next_u64()] {
-                assert_eq!(r.reduce(h), h % b, "h = {h}, b = {b}");
             }
         }
     }

@@ -146,11 +146,14 @@ impl GroupKey {
         }
     }
 
-    /// Writes value position `pos` (no-op out of range).
+    /// Writes value position `pos`; a no-op at or past the arity, so
+    /// the words there stay zero as `==` requires.
     #[inline]
     pub(crate) fn set_val(&mut self, pos: usize, v: u32) {
-        if let Some(dst) = self.vals.get_mut(pos) {
-            *dst = v;
+        if pos < self.len as usize {
+            if let Some(dst) = self.vals.get_mut(pos) {
+                *dst = v;
+            }
         }
     }
 
@@ -361,6 +364,15 @@ mod tests {
     #[test]
     fn constructors_zero_the_words_past_the_arity() {
         let zero_tail = |k: &GroupKey| k.vals.iter().skip(k.arity()).all(|&w| w == 0);
+        let mut filled = GroupKey::zeroed(2);
+        for pos in 0..MAX_ATTRS {
+            filled.set_val(pos, 9);
+        }
+        assert_eq!(
+            filled.vals,
+            [9, 9, 0, 0, 0, 0, 0, 0],
+            "set_val past the arity"
+        );
         let r = rec(&[u32::MAX, 1, u32::MAX, 3, u32::MAX, 5, u32::MAX, 7]);
         let chunk = crate::chunk::RecordChunk::from_records(&[r, r, r]);
         for bits in 1u16..256 {
