@@ -218,6 +218,33 @@ if [ "$count" -lt 17 ]; then
     exit 1
 fi
 
+echo "==> example outputs reproduce byte for byte"
+# Each example asserts its own invariants (exact counts, bias identity,
+# bit-identical recovery) and prints a deterministic report. Every one
+# is rebuilt, run, and its stdout compared byte for byte with
+# results/examples/<name>.txt, so the engine, runtime and recovery paths
+# the examples drive end to end are held to the committed output too.
+cargo build --offline --release --examples
+examples=$(mktemp -d)
+count=0
+for src in examples/*.rs; do
+    name=$(basename "$src" .rs)
+    timeout 300 "./target/release/examples/$name" > "$examples/$name.txt"
+    if ! cmp -s "results/examples/$name.txt" "$examples/$name.txt"; then
+        echo "error: example $name no longer prints results/examples/$name.txt byte for byte:" >&2
+        diff "results/examples/$name.txt" "$examples/$name.txt" | head -20 >&2 || true
+        rm -rf "$examples"
+        exit 1
+    fi
+    count=$((count + 1))
+done
+rm -rf "$examples"
+echo "example outputs: $count identical"
+if [ "$count" -lt 10 ]; then
+    echo "error: only $count examples under examples/ (expected >= 10)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -3,7 +3,7 @@
 //! the paper's cost model predicts.
 
 use msa_bench::harness::bench_throughput;
-use msa_gigascope::{CostParams, Executor, PhysicalPlan, PlanNode};
+use msa_gigascope::{CostParams, ExecutorConfig, PhysicalPlan, PlanNode};
 use msa_stream::{AttrSet, UniformStreamBuilder};
 use std::hint::black_box;
 
@@ -61,8 +61,9 @@ fn main() {
     println!("executor");
     for (label, plan) in [("flat_4_queries", flat), ("phantom_abcd", phantom)] {
         bench_throughput(label, stream.len() as u64, || {
-            let mut ex =
-                Executor::new(plan.clone(), CostParams::paper(), u64::MAX, 3).discard_results();
+            let mut ex = ExecutorConfig::new(plan.clone(), CostParams::paper(), u64::MAX, 3)
+                .build()
+                .discard_results();
             ex.run(black_box(&stream.records));
             black_box(ex.report().per_record_cost())
         });

@@ -7,7 +7,7 @@
 //! channel with a tripping guard (the degraded regime).
 
 use msa_bench::harness::bench_throughput;
-use msa_gigascope::{CostParams, Executor, FaultPlan, GuardPolicy, PhysicalPlan, PlanNode};
+use msa_gigascope::{CostParams, ExecutorConfig, FaultPlan, GuardPolicy, PhysicalPlan, PlanNode};
 use msa_stream::{AttrSet, UniformStreamBuilder};
 use std::hint::black_box;
 
@@ -49,26 +49,34 @@ fn main() {
 
     println!("guard");
     bench_throughput("unguarded_baseline", stream.len() as u64, || {
-        let mut ex = Executor::new(plan(), CostParams::paper(), epoch, 3).discard_results();
+        let mut ex = ExecutorConfig::new(plan(), CostParams::paper(), epoch, 3)
+            .build()
+            .discard_results();
         ex.run(black_box(&stream.records));
         black_box(ex.report().records)
     });
     bench_throughput("guard_never_trips", stream.len() as u64, || {
-        let mut ex = Executor::new(plan(), CostParams::paper(), epoch, 3)
-            .discard_results()
-            .with_guard(GuardPolicy::new(f64::INFINITY));
+        let mut ex = ExecutorConfig {
+            guard: Some(GuardPolicy::new(f64::INFINITY)),
+            ..ExecutorConfig::new(plan(), CostParams::paper(), epoch, 3)
+        }
+        .build()
+        .discard_results();
         ex.run(black_box(&stream.records));
         black_box(ex.report().records)
     });
     bench_throughput("guard_tripping_lossy_channel", stream.len() as u64, || {
-        let mut ex = Executor::new(plan(), CostParams::paper(), epoch, 3)
-            .discard_results()
-            .with_guard(GuardPolicy::new(0.0))
-            .with_faults(
-                &FaultPlan::new(7)
+        let mut ex = ExecutorConfig {
+            guard: Some(GuardPolicy::new(0.0)),
+            faults: Some(
+                FaultPlan::new(7)
                     .with_eviction_loss(0.05)
                     .with_eviction_duplication(0.05),
-            );
+            ),
+            ..ExecutorConfig::new(plan(), CostParams::paper(), epoch, 3)
+        }
+        .build()
+        .discard_results();
         ex.run(black_box(&stream.records));
         black_box(ex.report().records_shed)
     });

@@ -18,7 +18,8 @@
 //! Writes `results/BENCH_chunk_throughput.json`.
 
 use msa_bench::{
-    print_table, scale, seed, CostParams, Executor, PhysicalPlan, PlanNode, RunReport,
+    print_table, scale, seed, CostParams, Executor, ExecutorConfig, PhysicalPlan, PlanNode,
+    RunReport,
 };
 use msa_core::{Hfta, MsaError, RecordChunk, PROCESSING_WINDOW_SIZE};
 use msa_stream::{AttrSet, Record, UniformStreamBuilder};
@@ -67,7 +68,7 @@ fn stream(scale: f64) -> Vec<Record> {
 }
 
 fn build(plan: &PhysicalPlan) -> Executor {
-    Executor::new(plan.clone(), CostParams::paper(), EPOCH_MICROS, seed())
+    ExecutorConfig::new(plan.clone(), CostParams::paper(), EPOCH_MICROS, seed()).build()
 }
 
 /// The per-record oracle path, [`Executor::process`].

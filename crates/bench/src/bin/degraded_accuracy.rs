@@ -21,8 +21,8 @@
 
 use msa_bench::{print_table, scale, seed, CostParams, PhysicalPlan, PlanNode};
 use msa_core::{
-    AttrSet, BoundsReport, Burst, DegradationPolicy, Executor, FaultPlan, GuardPolicy, MsaError,
-    Record,
+    AttrSet, BoundsReport, Burst, DegradationPolicy, ExecutorConfig, FaultPlan, GuardPolicy,
+    MsaError, Record,
 };
 use msa_stream::UniformStreamBuilder;
 
@@ -68,11 +68,12 @@ fn measure(
         let mut guard = GuardPolicy::new(e_p).with_degradation(policy);
         guard.recover_ratio = 0.6;
         guard.shed_factor = 4;
-        let mut ex = Executor::new(base_plan.clone(), CostParams::paper(), EPOCH_MICROS, seed())
-            .with_guard(guard);
-        if let Some(f) = faults {
-            ex = ex.with_faults(f);
+        let mut ex = ExecutorConfig {
+            guard: Some(guard),
+            faults: faults.copied(),
+            ..ExecutorConfig::new(base_plan.clone(), CostParams::paper(), EPOCH_MICROS, seed())
         }
+        .build();
         ex.run(records);
         ex.flush_epoch();
         let bounds = ex.bounds();
@@ -173,7 +174,7 @@ fn main() -> Result<(), MsaError> {
 
     // Calibrate the organic peak, then promise less: the burst must
     // force the guard onto its degradation ladder.
-    let mut probe = Executor::new(plan()?, CostParams::paper(), EPOCH_MICROS, seed());
+    let mut probe = ExecutorConfig::new(plan()?, CostParams::paper(), EPOCH_MICROS, seed()).build();
     probe.run(&organic.records);
     let (probe_report, _) = probe.finish();
     let planned = probe_report

@@ -19,7 +19,9 @@
 //! Writes `results/BENCH_recovery_latency.json`.
 
 use msa_bench::{print_table, scale, seed, CostParams, PhysicalPlan, RunReport};
-use msa_core::{Hfta, MsaError, ShardFault, ShardHealth, ShardedExecutor, SupervisorPolicy};
+use msa_core::{
+    ExecutorConfig, Hfta, MsaError, ShardFault, ShardHealth, ShardedExecutor, SupervisorPolicy,
+};
 use msa_stream::{AttrSet, Record, UniformStreamBuilder};
 
 const EPOCH_MICROS: u64 = 500_000;
@@ -45,10 +47,7 @@ fn plan() -> Result<PhysicalPlan, MsaError> {
 
 fn build(plan: &PhysicalPlan, root_seed: u64, shards: usize) -> Result<ShardedExecutor, MsaError> {
     ShardedExecutor::new(
-        plan.clone(),
-        CostParams::paper(),
-        EPOCH_MICROS,
-        root_seed,
+        ExecutorConfig::new(plan.clone(), CostParams::paper(), EPOCH_MICROS, root_seed),
         shards,
     )
     .map_err(|_| MsaError::State("shard count must be positive"))

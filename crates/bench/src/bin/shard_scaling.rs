@@ -22,7 +22,7 @@
 
 use msa_bench::sharding::{measure, ShardRow};
 use msa_bench::{paper_uniform, print_table, seed, CostParams, PhysicalPlan, RunReport};
-use msa_core::{Hfta, MsaError, ShardedExecutor};
+use msa_core::{ExecutorConfig, Hfta, MsaError, ShardedExecutor};
 use msa_stream::{AttrSet, Record};
 
 const EPOCH_MICROS: u64 = 1_000_000;
@@ -54,10 +54,7 @@ fn threaded_run(
     shards: usize,
 ) -> Result<(RunReport, Hfta), MsaError> {
     let mut sx = ShardedExecutor::new(
-        plan.clone(),
-        CostParams::paper(),
-        EPOCH_MICROS,
-        root_seed,
+        ExecutorConfig::new(plan.clone(), CostParams::paper(), EPOCH_MICROS, root_seed),
         shards,
     )
     .map_err(|_| MsaError::State("shard count must be positive"))?;

@@ -22,7 +22,7 @@ use msa_stream::{
     AttrSet, DatasetStats, PacketTraceBuilder, Record, TraceProfile, UniformStreamBuilder,
 };
 
-pub use msa_gigascope::{CostParams, Executor, PhysicalPlan, PlanNode, RunReport};
+pub use msa_gigascope::{CostParams, Executor, ExecutorConfig, PhysicalPlan, PlanNode, RunReport};
 
 /// Reads `MSA_SCALE` (default 1.0, clamped to `(0, 1]`).
 pub fn scale() -> f64 {
@@ -97,7 +97,9 @@ pub fn m_sweep() -> Vec<f64> {
 /// per-record intra-epoch cost (single epoch — the paper's actual-cost
 /// experiments measure maintenance cost).
 pub fn measured_cost(plan: PhysicalPlan, records: &[Record], run_seed: u64) -> f64 {
-    let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, run_seed).discard_results();
+    let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, run_seed)
+        .build()
+        .discard_results();
     ex.run(records);
     ex.report().per_record_cost()
 }
@@ -303,7 +305,7 @@ pub mod harness {
 /// threaded runtime would approach with `N` free cores and no feed or
 /// merge overhead.
 pub mod sharding {
-    use super::{CostParams, Executor, PhysicalPlan};
+    use super::{CostParams, ExecutorConfig, PhysicalPlan};
     use msa_gigascope::{shard_of, shard_seed, ShardedExecutor};
     use msa_stream::Record;
     use std::time::Instant;
@@ -341,10 +343,7 @@ pub mod sharding {
     ) -> ShardRow {
         let wall = median_secs(|| {
             match ShardedExecutor::new(
-                plan.clone(),
-                CostParams::paper(),
-                epoch_micros,
-                seed,
+                ExecutorConfig::new(plan.clone(), CostParams::paper(), epoch_micros, seed),
                 shards,
             ) {
                 Ok(mut sx) => {
@@ -364,12 +363,13 @@ pub mod sharding {
         let mut critical = 0.0f64;
         for (k, part) in parts.iter().enumerate() {
             critical = critical.max(median_secs(|| {
-                let mut ex = Executor::new(
+                let mut ex = ExecutorConfig::new(
                     shard_plan.clone(),
                     CostParams::paper(),
                     epoch_micros,
                     shard_seed(seed, k, shards),
-                );
+                )
+                .build();
                 let t = Instant::now();
                 ex.run(part);
                 std::hint::black_box(ex.finish());

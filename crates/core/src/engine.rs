@@ -1,12 +1,12 @@
 //! The streaming engine: bootstrap → plan → execute → (re)plan.
 
 use crate::adaptive::{drift, refine_stats, AdaptivePolicy};
-use msa_collision::{AsymptoticModel, CollisionModel, LinearModel, PreciseModel};
+use msa_collision::LinearModel;
 pub use msa_gigascope::executor::ValueSource;
 use msa_gigascope::hfta::EpochResult;
 use msa_gigascope::{
-    BoundsReport, CostParams, Executor, FaultPlan, GuardLevel, GuardPolicy, OverloadGuard,
-    RunReport,
+    BoundsReport, CostParams, Executor, ExecutorConfig, FaultPlan, GuardLevel, GuardPolicy,
+    OverloadGuard, RunReport,
 };
 use msa_optimizer::cost::{end_of_epoch_cost, rates, CostContext};
 use msa_optimizer::{
@@ -14,29 +14,9 @@ use msa_optimizer::{
     PlannerOptions,
 };
 use msa_stream::hash::FastMap;
-use msa_stream::{AttrSet, DatasetStats, Filter, GroupKey, Record};
-
-/// Collision-rate model selection (a concrete enum so the engine can own
-/// its model without lifetime plumbing).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ModelKind {
-    /// Linear `x = α + µ·g/b` (the paper's working model).
-    Linear(LinearModel),
-    /// The `g/b`-only asymptotic curve.
-    Asymptotic,
-    /// The exact finite-size precise model.
-    Precise,
-}
-
-impl CollisionModel for ModelKind {
-    fn rate(&self, g: f64, b: f64) -> f64 {
-        match self {
-            ModelKind::Linear(m) => m.rate(g, b),
-            ModelKind::Asymptotic => AsymptoticModel.rate(g, b),
-            ModelKind::Precise => PreciseModel.rate(g, b),
-        }
-    }
-}
+use msa_stream::{
+    AttrSet, DatasetStats, Filter, GroupKey, Record, RecordChunk, PROCESSING_WINDOW_SIZE,
+};
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -52,8 +32,9 @@ pub struct EngineOptions {
     pub params: CostParams,
     /// Flow-length handling.
     pub clustering: ClusterHandling,
-    /// Collision model used for planning.
-    pub model: ModelKind,
+    /// Linear collision model `x = α + µ·g/b` used for planning (the
+    /// paper's working model); a replan refines statistics through it.
+    pub model: LinearModel,
     /// Records buffered to estimate statistics before the first plan
     /// (ignored when `stats` is supplied).
     pub bootstrap_records: usize,
@@ -91,7 +72,7 @@ impl EngineOptions {
             algorithm: Algorithm::default(),
             params: CostParams::paper(),
             clustering: ClusterHandling::default(),
-            model: ModelKind::Linear(LinearModel::paper_no_intercept()),
+            model: LinearModel::paper_no_intercept(),
             bootstrap_records: 10_000,
             stats: None,
             adaptive: None,
@@ -184,6 +165,9 @@ pub struct MultiAggregator {
     queries: Vec<AttrSet>,
     opts: EngineOptions,
     state: State,
+    /// Records the running executor has not ingested yet: offered as one
+    /// chunk when full and before every epoch-boundary hook.
+    pending: RecordChunk,
     stats: Option<DatasetStats>,
     plan: Option<Plan>,
     results: Vec<EpochResult>,
@@ -217,6 +201,7 @@ impl MultiAggregator {
         let mut engine = MultiAggregator {
             stats: opts.stats.clone(),
             state: State::Bootstrapping(Vec::new()),
+            pending: RecordChunk::with_capacity(PROCESSING_WINDOW_SIZE),
             plan: None,
             results: Vec::new(),
             merged,
@@ -335,32 +320,32 @@ impl MultiAggregator {
         self.state = State::Running(executor);
     }
 
-    /// Builds an executor for `plan`, wiring in the options' value
-    /// source, filter, fault plan and overload guard (transplanting
-    /// carried guard state, if any). Callers pass the plan explicitly —
-    /// usually the one they are about to store — so there is no
-    /// "plan set before building" invariant to uphold at a distance.
+    /// Builds an executor for `plan` from a recipe carrying the options'
+    /// value source, filter, fault plan and overload guard, then
+    /// transplants carried guard state, if any. Callers pass the plan
+    /// explicitly — usually the one they are about to store — so there
+    /// is no "plan set before building" invariant to uphold at a
+    /// distance.
     fn build_executor(&mut self, plan: &Plan, start_epoch: u64) -> Box<Executor> {
-        let mut executor = Executor::new(
-            plan.to_physical(),
-            self.opts.params,
-            self.opts.epoch_micros,
-            msa_stream::hash::mix64(self.opts.seed ^ self.executor_generation),
-        )
-        .with_start_epoch(start_epoch)
-        .with_value_source(self.opts.value_source)
-        .with_filter(self.opts.filter.clone());
+        let config = ExecutorConfig {
+            value_source: self.opts.value_source,
+            filter: self.opts.filter.clone(),
+            faults: self.opts.faults,
+            guard: self.opts.guard,
+            ..ExecutorConfig::new(
+                plan.to_physical(),
+                self.opts.params,
+                self.opts.epoch_micros,
+                msa_stream::hash::mix64(self.opts.seed ^ self.executor_generation),
+            )
+        };
         self.executor_generation += 1;
+        let mut executor = config.build().with_start_epoch(start_epoch);
         if !self.opts.retain_results {
             executor = executor.discard_results();
         }
-        if let Some(fp) = &self.opts.faults {
-            executor = executor.with_faults(fp);
-        }
         if let Some(g) = self.guard_state.take() {
             executor = executor.with_guard_state(g);
-        } else if let Some(policy) = self.opts.guard {
-            executor = executor.with_guard(policy);
         }
         Box::new(executor)
     }
@@ -418,18 +403,12 @@ impl MultiAggregator {
             executor.reset_table_stats();
             return;
         }
-        // Replan: refresh statistics from observations, rebuild. The
-        // inversion needs a linear model; non-linear engines fall back
-        // to the paper's slope.
-        let linear = match self.opts.model {
-            ModelKind::Linear(m) => m,
-            _ => LinearModel::paper_no_intercept(),
-        };
+        // Replan: refresh statistics from observations, rebuild.
         let new_stats = refine_stats(
             stats,
             &plan.configuration,
             &plan.allocation,
-            &linear,
+            &model,
             &observed,
             &policy,
         );
@@ -527,10 +506,13 @@ impl MultiAggregator {
 
     /// Pushes one record.
     pub fn push(&mut self, record: Record) {
-        // Epoch-boundary hook for adaptivity and overload repair.
+        // Epoch-boundary hook for adaptivity and overload repair. The
+        // hooks read and may retire the running executor, so it ingests
+        // every record of the closing epoch first.
         let epoch = record.ts_micros / self.opts.epoch_micros.max(1);
         if epoch > self.current_epoch {
             self.current_epoch = epoch;
+            self.offer_pending();
             self.maybe_replan();
             self.maybe_repair();
         }
@@ -542,12 +524,28 @@ impl MultiAggregator {
                     self.promote(buffered);
                 }
             }
-            State::Running(executor) => executor.process(&record),
+            State::Running(_) => {
+                self.pending.push(&record);
+                if self.pending.len() == PROCESSING_WINDOW_SIZE {
+                    self.offer_pending();
+                }
+            }
+        }
+    }
+
+    /// Offers the pending records to the running executor as one chunk.
+    fn offer_pending(&mut self) {
+        if let State::Running(executor) = &mut self.state {
+            if !self.pending.is_empty() {
+                executor.offer_chunk(&self.pending);
+                self.pending.clear();
+            }
         }
     }
 
     /// Finishes the run: flushes the last epoch and returns everything.
     pub fn finish(mut self) -> AggregationOutput {
+        self.offer_pending();
         match std::mem::replace(&mut self.state, State::Bootstrapping(Vec::new())) {
             State::Bootstrapping(buffer) => {
                 if !buffer.is_empty() {
@@ -581,6 +579,7 @@ impl MultiAggregator {
 mod tests {
     use super::*;
     use msa_stream::{ClusteredStreamBuilder, UniformStreamBuilder};
+    use std::collections::BTreeMap;
 
     fn s(x: &str) -> AttrSet {
         AttrSet::parse(x).unwrap()
@@ -650,10 +649,9 @@ mod tests {
         assert_eq!(out.totals(s("B")), exact(&stream.records, s("B")));
     }
 
-    #[test]
-    fn adaptive_replans_on_distribution_shift() {
-        // Epoch 1: 20 groups. Epochs 2+: 2000 groups — collision rates
-        // explode relative to the plan, forcing a replan.
+    /// Epoch 1: 20 groups. Epochs 2+: 2000 groups — collision rates
+    /// explode relative to the plan, forcing a replan.
+    fn drift_stream() -> Vec<Record> {
         let calm = UniformStreamBuilder::new(4, 20)
             .records(30_000)
             .duration_secs(0.9)
@@ -669,21 +667,58 @@ mod tests {
             attrs: r.attrs,
             ts_micros: r.ts_micros + 1_000_000,
         }));
+        records
+    }
 
+    /// Runs `records` through an adaptive engine over AB and CD with
+    /// 1 s epochs.
+    fn run_adaptive(records: &[Record]) -> AggregationOutput {
         let mut opts = EngineOptions::new(8_000.0);
         opts.epoch_micros = 1_000_000;
         opts.bootstrap_records = 5_000;
         opts.adaptive = Some(AdaptivePolicy::default());
-        let queries = vec![s("AB"), s("CD")];
-        let mut engine = MultiAggregator::new(queries.clone(), opts);
-        for r in &records {
+        let mut engine = MultiAggregator::new(vec![s("AB"), s("CD")], opts);
+        for r in records {
             engine.push(*r);
         }
-        let out = engine.finish();
+        engine.finish()
+    }
+
+    #[test]
+    fn adaptive_replans_on_distribution_shift() {
+        let records = drift_stream();
+        let out = run_adaptive(&records);
         assert!(out.replans >= 1, "expected a replan, got {}", out.replans);
         // Correctness must survive replanning.
-        for q in queries {
+        for q in [s("AB"), s("CD")] {
             assert_eq!(out.totals(q), exact(&records, q), "query {q}");
+        }
+    }
+
+    #[test]
+    fn replans_keep_every_epoch_exact() {
+        // A replan retires the running executor at an epoch boundary, so
+        // every record of the closing epoch must reach it first: each
+        // (query, epoch) result is recounted, not just the run's totals.
+        let records = drift_stream();
+        let out = run_adaptive(&records);
+        assert!(out.replans >= 1, "expected a replan, got {}", out.replans);
+        for q in [s("AB"), s("CD")] {
+            let mut expected: BTreeMap<u64, FastMap<GroupKey, u64>> = BTreeMap::new();
+            for r in &records {
+                let epoch = expected.entry(r.ts_micros / 1_000_000).or_default();
+                *epoch.entry(r.project(q)).or_insert(0) += 1;
+            }
+            let mut got: BTreeMap<u64, FastMap<GroupKey, u64>> = BTreeMap::new();
+            for result in out.results.iter().filter(|r| r.query == q) {
+                let previous = got.insert(result.epoch, result.counts());
+                assert!(
+                    previous.is_none(),
+                    "query {q}: epoch {} twice",
+                    result.epoch
+                );
+            }
+            assert_eq!(got, expected, "query {q}");
         }
     }
 

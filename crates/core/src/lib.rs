@@ -47,7 +47,7 @@ pub mod runtime;
 pub mod sql;
 
 pub use adaptive::AdaptivePolicy;
-pub use engine::{AggregationOutput, EngineOptions, ModelKind, MultiAggregator};
+pub use engine::{AggregationOutput, EngineOptions, MultiAggregator};
 pub use error::MsaError;
 pub use runtime::{
     AdaptiveRuntime, ReplanEvent, ReplanTrigger, RuntimeOptions, RuntimeOutput, RuntimePolicy,

@@ -26,8 +26,8 @@ use crate::error::MsaError;
 use msa_collision::LinearModel;
 use msa_gigascope::executor::ValueSource;
 use msa_gigascope::{
-    BoundsReport, CostParams, FaultPlan, GuardPolicy, Hfta, RunReport, ShardedExecutor, SwapFault,
-    SwapReport,
+    BoundsReport, CostParams, ExecutorConfig, FaultPlan, GuardPolicy, Hfta, RunReport,
+    ShardedExecutor, SwapFault, SwapReport,
 };
 use msa_optimizer::cost::{rates, CostContext};
 use msa_optimizer::{propose_replan, Algorithm, ClusterHandling, Plan, Planner, PlannerOptions};
@@ -594,25 +594,20 @@ fn plan_for(
 }
 
 fn deploy(plan: &Plan, opts: &RuntimeOptions) -> Result<ShardedExecutor, MsaError> {
-    let mut exec = ShardedExecutor::new(
-        plan.to_physical(),
-        opts.params,
-        opts.epoch_micros,
-        opts.seed,
-        opts.shards,
-    )
-    .map_err(|_| MsaError::State("a deployment needs at least one shard"))?
-    .with_value_source(opts.value_source);
-    if let Some(faults) = &opts.faults {
-        exec = exec.with_faults(faults);
-    }
-    if let Some(guard) = opts.guard {
-        exec = exec.with_guard(guard);
-    }
-    if opts.durable {
-        exec = exec.with_durability();
-    }
-    Ok(exec)
+    let config = ExecutorConfig {
+        value_source: opts.value_source,
+        faults: opts.faults,
+        guard: opts.guard,
+        durable: opts.durable,
+        ..ExecutorConfig::new(
+            plan.to_physical(),
+            opts.params,
+            opts.epoch_micros,
+            opts.seed,
+        )
+    };
+    ShardedExecutor::new(config, opts.shards)
+        .map_err(|_| MsaError::State("a deployment needs at least one shard"))
 }
 
 #[cfg(test)]

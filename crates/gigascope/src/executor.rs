@@ -338,14 +338,12 @@ impl RunReport {
     }
 }
 
-/// A reusable recipe for building identically configured [`Executor`]s.
+/// The recipe every [`Executor`] is built from.
 ///
-/// The sharded runtime needs to construct the same executor shape many
-/// times — once per shard, and again from scratch when a crashed shard
-/// is recovered — so the builder-chain configuration is reified into a
-/// plain value that can be cloned, adjusted per shard (plan split,
-/// derived seeds, scaled guard budget) and turned into a live executor
-/// on demand.
+/// A plain value: the sharded runtime clones it once per shard, adjusts
+/// the copy (plan split, derived seeds, scaled guard budget) and builds
+/// it again from scratch when a crashed shard is recovered. Set the
+/// public fields, then call [`ExecutorConfig::build`].
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
     /// The physical plan to instantiate.
@@ -371,7 +369,10 @@ pub struct ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// A config with the same defaults as [`Executor::new`].
+    /// A recipe over `plan` with epoch length `epoch_micros` (use
+    /// `u64::MAX` for a single open-ended epoch) and hash seed `seed`:
+    /// count-only, unfiltered, fault-free, unguarded, not durable and
+    /// with no crash fuse armed.
     pub fn new(
         plan: PhysicalPlan,
         costs: CostParams,
@@ -392,24 +393,85 @@ impl ExecutorConfig {
         }
     }
 
-    /// Builds a fresh executor from this recipe.
+    /// Builds a fresh executor from this recipe. Channel-level faults
+    /// are wired into the eviction channel; stream-level faults (bursts,
+    /// clock skew) must be applied to the record stream first via
+    /// [`FaultPlan::apply_to_stream`]. A durable executor checkpoints at
+    /// every epoch boundary (and once lazily before the first record),
+    /// each kept as a mark over the finished results, not a copy (see
+    /// [`Executor::latest_snapshot`]). When an armed crash fuse fires the
+    /// executor becomes inert, exactly as if the process died: no
+    /// farewell flush, no final snapshot — only the last boundary
+    /// checkpoint remains.
     pub fn build(&self) -> Executor {
-        let mut ex = Executor::new(self.plan.clone(), self.costs, self.epoch_micros, self.seed)
-            .with_value_source(self.value_source)
-            .with_filter(self.filter.clone());
-        if let Some(faults) = &self.faults {
-            ex = ex.with_faults(faults);
+        let plan = self.plan.clone();
+        let n = plan.nodes().len();
+        let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
+        for (i, node) in plan.nodes().iter().enumerate() {
+            let Some(p) = node.parent else { continue };
+            let (Some(parent), Some(out)) = (plan.nodes().get(p), edges.get_mut(p)) else {
+                continue;
+            };
+            out.push(Edge {
+                child: i,
+                proj: KeyProjection::new(parent.attrs, node.attrs),
+            });
         }
-        if let Some(policy) = self.guard {
-            ex = ex.with_guard(policy);
+        let raw: Vec<usize> = plan.raw_nodes().collect();
+        let tables: Vec<LftaTable> = plan
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, node)| LftaTable::new(node.attrs, node.buckets, mix64(self.seed ^ i as u64)))
+            .collect();
+        let mut query_slot = vec![None; n];
+        let mut query_nodes = Vec::new();
+        let mut queries = Vec::new();
+        for (i, node) in plan.nodes().iter().enumerate() {
+            if node.is_query {
+                if let Some(slot) = query_slot.get_mut(i) {
+                    *slot = Some(queries.len());
+                }
+                query_nodes.push(i);
+                queries.push(node.attrs);
+            }
         }
-        if self.durable {
-            ex = ex.with_snapshots();
+        Executor {
+            plan,
+            tables,
+            edges,
+            raw,
+            query_nodes,
+            query_slot,
+            hfta: Hfta::new(queries.clone()),
+            queries,
+            channel: match &self.faults {
+                Some(faults) => EvictionChannel::new(faults.channel_faults(), faults.seed),
+                None => EvictionChannel::lossless(),
+            },
+            guard: self.guard.map(OverloadGuard::new),
+            epoch_micros: self.epoch_micros.max(1),
+            current_epoch: 0,
+            intra_cost_mark: 0.0,
+            flush_cost_mark: 0.0,
+            dropped_mark: 0,
+            duplicated_mark: 0,
+            in_flush: false,
+            value_source: self.value_source,
+            filter: self.filter.clone(),
+            report: RunReport {
+                costs: self.costs,
+                ..RunReport::default()
+            },
+            seed: self.seed,
+            auto_snapshot: self.durable,
+            boundary: None,
+            crash: self.crash,
+            crashed: false,
+            store: None,
+            store_broken: false,
+            store_head: None,
         }
-        if !self.crash.is_none() {
-            ex = ex.with_crash(self.crash);
-        }
-        ex
     }
 }
 
@@ -494,92 +556,9 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor over `plan` with epoch length `epoch_micros`
-    /// (use `u64::MAX` for a single open-ended epoch) and hash seed
-    /// `seed`.
-    pub fn new(plan: PhysicalPlan, costs: CostParams, epoch_micros: u64, seed: u64) -> Executor {
-        let n = plan.nodes().len();
-        let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        for (i, node) in plan.nodes().iter().enumerate() {
-            let Some(p) = node.parent else { continue };
-            let (Some(parent), Some(out)) = (plan.nodes().get(p), edges.get_mut(p)) else {
-                continue;
-            };
-            out.push(Edge {
-                child: i,
-                proj: KeyProjection::new(parent.attrs, node.attrs),
-            });
-        }
-        let raw: Vec<usize> = plan.raw_nodes().collect();
-        let tables: Vec<LftaTable> = plan
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(i, node)| LftaTable::new(node.attrs, node.buckets, mix64(seed ^ i as u64)))
-            .collect();
-        let mut query_slot = vec![None; n];
-        let mut query_nodes = Vec::new();
-        let mut queries = Vec::new();
-        for (i, node) in plan.nodes().iter().enumerate() {
-            if node.is_query {
-                if let Some(slot) = query_slot.get_mut(i) {
-                    *slot = Some(queries.len());
-                }
-                query_nodes.push(i);
-                queries.push(node.attrs);
-            }
-        }
-        Executor {
-            plan,
-            tables,
-            edges,
-            raw,
-            query_nodes,
-            query_slot,
-            hfta: Hfta::new(queries.clone()),
-            queries,
-            channel: EvictionChannel::lossless(),
-            guard: None,
-            epoch_micros: epoch_micros.max(1),
-            current_epoch: 0,
-            intra_cost_mark: 0.0,
-            flush_cost_mark: 0.0,
-            dropped_mark: 0,
-            duplicated_mark: 0,
-            in_flush: false,
-            value_source: ValueSource::None,
-            filter: Filter::all(),
-            report: RunReport {
-                costs,
-                ..RunReport::default()
-            },
-            seed,
-            auto_snapshot: false,
-            boundary: None,
-            crash: CrashPlan::none(),
-            crashed: false,
-            store: None,
-            store_broken: false,
-            store_head: None,
-        }
-    }
-
     /// Disables HFTA result retention (pure cost-measurement runs).
     pub fn discard_results(mut self) -> Executor {
         self.hfta = std::mem::take(&mut self.hfta).discard_results();
-        self
-    }
-
-    /// Sets the metric-value source for SUM/MIN/MAX/AVG aggregates.
-    pub fn with_value_source(mut self, source: ValueSource) -> Executor {
-        self.value_source = source;
-        self
-    }
-
-    /// Installs a selection filter, evaluated per record ahead of all
-    /// hash-table probes (the "F" of LFTA).
-    pub fn with_filter(mut self, filter: Filter) -> Executor {
-        self.filter = filter;
         self
     }
 
@@ -587,20 +566,6 @@ impl Executor {
     /// fault-injecting).
     pub fn with_channel(mut self, channel: EvictionChannel) -> Executor {
         self.channel = channel;
-        self
-    }
-
-    /// Wires the channel-level faults of `plan` into the executor.
-    /// Stream-level faults (bursts, clock skew) must be applied to the
-    /// record stream first via [`FaultPlan::apply_to_stream`].
-    pub fn with_faults(mut self, plan: &FaultPlan) -> Executor {
-        self.channel = EvictionChannel::new(plan.channel_faults(), plan.seed);
-        self
-    }
-
-    /// Enables the overload guard under `policy`.
-    pub fn with_guard(mut self, policy: GuardPolicy) -> Executor {
-        self.guard = Some(OverloadGuard::new(policy));
         self
     }
 
@@ -621,17 +586,9 @@ impl Executor {
         self
     }
 
-    /// Enables automatic checkpoints at every epoch boundary (and once
-    /// lazily before the first record). Each is kept as a mark over the
-    /// finished results, not a copy (see [`Executor::latest_snapshot`]).
-    pub fn with_snapshots(mut self) -> Executor {
-        self.auto_snapshot = true;
-        self
-    }
-
     /// Attaches a generational checkpoint store: each boundary checkpoint
-    /// commits as one atomically renamed generation. Implies
-    /// [`Executor::with_snapshots`]. The first commit writes a base
+    /// commits as one atomically renamed generation, so the executor
+    /// checkpoints as if built `durable`. The first commit writes a base
     /// generation holding every finished result; each later one chains
     /// a delta holding only the epochs closed since. Store failures
     /// never panic the pipeline: past the retry budget the executor
@@ -664,15 +621,6 @@ impl Executor {
     /// executor fell back to in-memory artifacts only.
     pub fn store_degraded(&self) -> bool {
         self.store_broken
-    }
-
-    /// Arms crash fuses (see [`CrashPlan`]). When a fuse fires the
-    /// executor becomes inert, exactly as if the process died: no
-    /// farewell flush, no final snapshot — only the last boundary
-    /// checkpoint remains (see [`Executor::latest_snapshot`]).
-    pub fn with_crash(mut self, crash: CrashPlan) -> Executor {
-        self.crash = crash;
-        self
     }
 
     /// The overload guard, if enabled.
@@ -1313,7 +1261,7 @@ impl Executor {
     }
 
     /// The most recent boundary checkpoint (see
-    /// [`Executor::with_snapshots`]): what a crash leaves behind, and
+    /// [`ExecutorConfig::durable`]): what a crash leaves behind, and
     /// all [`Executor::recover`] consumes. `None` before the first
     /// checkpoint exists.
     ///
@@ -1683,7 +1631,7 @@ mod tests {
             [1, 10, 100, 0],
         ]);
         let plan = PhysicalPlan::flat([(s("A"), 4), (s("B"), 4)]);
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 1);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 1).build();
         ex.run(&recs);
         let (report, hfta) = ex.finish();
         assert_eq!(report.records, 4);
@@ -1724,7 +1672,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 3);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 3).build();
         ex.run(&recs);
         let (_, hfta) = ex.finish();
         for q in ["A", "B", "C"] {
@@ -1781,7 +1729,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 5);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 5).build();
         ex.run(&recs);
         let (_, hfta) = ex.finish();
         for q in ["AB", "BC", "BD", "CD"] {
@@ -1801,7 +1749,7 @@ mod tests {
             Record::new(&[1, 0, 0, 0], 1_500_000), // second epoch
         ];
         let plan = PhysicalPlan::flat([(s("A"), 4)]);
-        let mut ex = Executor::new(plan, CostParams::paper(), 1_000_000, 0);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), 1_000_000, 0).build();
         ex.run(&recs);
         let (report, hfta) = ex.finish();
         assert_eq!(report.epochs, 2);
@@ -1818,7 +1766,7 @@ mod tests {
         // 3 distinct groups into 64 buckets: collisions vanishingly rare.
         let recs = records(&[[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]]);
         let plan = PhysicalPlan::flat([(s("A"), 64)]);
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 9);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 9).build();
         ex.run(&recs);
         let (report, _) = ex.finish();
         assert_eq!(report.intra_probes, 3);
@@ -1857,7 +1805,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 13);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 13).build();
         ex.run(&recs);
         let stats = ex.table_stats();
         let phantom_collisions = stats[0].1.collisions;
@@ -1890,7 +1838,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 21);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 21).build();
         ex.run(&recs);
         let (_, hfta) = ex.finish();
         assert_eq!(hfta.totals(s("AB")), exact_counts(&recs, s("AB")));
@@ -1920,8 +1868,11 @@ mod tests {
             },
         ])
         .unwrap();
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 8)
-            .with_value_source(ValueSource::Attr(3));
+        let mut ex = ExecutorConfig {
+            value_source: ValueSource::Attr(3),
+            ..ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 8)
+        }
+        .build();
         ex.run(&recs);
         let (_, hfta) = ex.finish();
         let got = hfta.aggregate_totals(s("A"));
@@ -1955,8 +1906,11 @@ mod tests {
             .map(|i| Record::new(&[i % 10, i % 3, 0, 0], i as u64))
             .collect();
         let plan = PhysicalPlan::flat([(s("A"), 32)]);
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 6)
-            .with_filter(Filter::all().and(1, CmpOp::Eq, 0));
+        let mut ex = ExecutorConfig {
+            filter: Filter::all().and(1, CmpOp::Eq, 0),
+            ..ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 6)
+        }
+        .build();
         ex.run(&recs);
         let (report, hfta) = ex.finish();
         assert_eq!(report.records, 300);
@@ -2005,8 +1959,11 @@ mod tests {
         let faults = FaultPlan::new(0xFA_17)
             .with_eviction_loss(0.10)
             .with_eviction_duplication(0.05);
-        let mut ex = Executor::new(small_phantom_plan(), CostParams::paper(), 1_000_000, 11)
-            .with_faults(&faults);
+        let mut ex = ExecutorConfig {
+            faults: Some(faults),
+            ..ExecutorConfig::new(small_phantom_plan(), CostParams::paper(), 1_000_000, 11)
+        }
+        .build();
         ex.run(&recs);
         let stats = *ex.channel_stats();
         let (report, hfta) = ex.finish();
@@ -2032,8 +1989,11 @@ mod tests {
         let recs: Vec<Record> = (0..30_000u32)
             .map(|i| Record::new(&[i % 41, i % 17, 0, 0], u64::from(i) * 100))
             .collect();
-        let mut ex = Executor::new(small_phantom_plan(), CostParams::paper(), 500_000, 3)
-            .with_guard(GuardPolicy::new(0.0));
+        let mut ex = ExecutorConfig {
+            guard: Some(GuardPolicy::new(0.0)),
+            ..ExecutorConfig::new(small_phantom_plan(), CostParams::paper(), 500_000, 3)
+        }
+        .build();
         ex.run(&recs);
         assert!(ex.repair_pending(), "ladder must reach the repair level");
         let (report, hfta) = ex.finish();
@@ -2070,8 +2030,11 @@ mod tests {
                 ));
             }
         }
-        let mut ex = Executor::new(small_phantom_plan(), CostParams::paper(), 1_000_000, 7)
-            .with_guard(GuardPolicy::new(500.0));
+        let mut ex = ExecutorConfig {
+            guard: Some(GuardPolicy::new(500.0)),
+            ..ExecutorConfig::new(small_phantom_plan(), CostParams::paper(), 1_000_000, 7)
+        }
+        .build();
         ex.run(&recs);
         let (report, _) = ex.finish();
         let last = report.guard_transitions.last().expect("transitions");
@@ -2088,7 +2051,9 @@ mod tests {
     fn start_epoch_keeps_absolute_labels() {
         let recs = vec![Record::new(&[1, 0, 0, 0], 3_500_000)];
         let plan = PhysicalPlan::flat([(s("A"), 4)]);
-        let mut ex = Executor::new(plan, CostParams::paper(), 1_000_000, 0).with_start_epoch(3);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), 1_000_000, 0)
+            .build()
+            .with_start_epoch(3);
         ex.run(&recs);
         let (report, hfta) = ex.finish();
         assert_eq!(report.epochs, 4);
@@ -2105,7 +2070,8 @@ mod tests {
             .map(|i| Record::new(&[i % 40, 0, 0, 0], u64::from(i) * 1000))
             .collect();
         let plan = PhysicalPlan::flat([(s("A"), 8)]);
-        let mut ex = Executor::new(plan, CostParams::paper(), 100_000, 1)
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), 100_000, 1)
+            .build()
             .with_channel(EvictionChannel::lossless().with_capacity(5));
         ex.run(&recs);
         let (report, hfta) = ex.finish();
@@ -2233,33 +2199,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_config_build_matches_builder_chain() {
-        let recs: Vec<Record> = (0..3000u32)
-            .map(|i| Record::new(&[i % 19, i % 11, 0, 0], u64::from(i) * 500))
-            .collect();
-        let faults = FaultPlan::new(0xC0FF)
-            .with_eviction_loss(0.05)
-            .with_eviction_duplication(0.02);
-        let cfg = ExecutorConfig {
-            faults: Some(faults),
-            guard: Some(GuardPolicy::new(5_000.0)),
-            durable: true,
-            ..ExecutorConfig::new(small_phantom_plan(), CostParams::paper(), 500_000, 17)
-        };
-        let mut from_cfg = cfg.build();
-        let mut chained = Executor::new(small_phantom_plan(), CostParams::paper(), 500_000, 17)
-            .with_faults(&faults)
-            .with_guard(GuardPolicy::new(5_000.0))
-            .with_snapshots();
-        from_cfg.run(&recs);
-        chained.run(&recs);
-        let (ra, ha) = from_cfg.finish();
-        let (rb, hb) = chained.finish();
-        assert_eq!(ra, rb);
-        assert_eq!(ha.results(), hb.results());
-    }
-
-    #[test]
     fn results_conserve_record_counts() {
         // Σ counts per query = number of records, whatever the plan.
         let recs: Vec<Record> = (0..777u32)
@@ -2286,7 +2225,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 2);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 2).build();
         ex.run(&recs);
         let (_, hfta) = ex.finish();
         for q in ["AB", "C"] {
@@ -2346,9 +2285,12 @@ mod tests {
             })
             .collect();
         let epoch_micros = 1_000_000;
-        let mut flushed = Executor::new(plan, CostParams::paper(), epoch_micros, 5)
-            .with_value_source(ValueSource::Attr(3))
-            .with_snapshots();
+        let mut flushed = ExecutorConfig {
+            value_source: ValueSource::Attr(3),
+            durable: true,
+            ..ExecutorConfig::new(plan, CostParams::paper(), epoch_micros, 5)
+        }
+        .build();
         let mut reference = flushed.clone();
         let mut closes = 0;
         for epoch in recs.chunks(1_000) {

@@ -17,11 +17,11 @@
 //!   ([`Executor::recover`](crate::Executor::recover)) can be exercised
 //!   at any point of the pipeline.
 //!
-//! Channel faults are wired into an executor with
-//! [`Executor::with_faults`](crate::Executor::with_faults); stream
+//! Channel faults are wired into an executor through
+//! [`ExecutorConfig::faults`](crate::ExecutorConfig::faults); stream
 //! faults are applied up front with [`FaultPlan::apply_to_stream`];
-//! crashes are armed with
-//! [`Executor::with_crash`](crate::Executor::with_crash).
+//! crashes are armed through
+//! [`ExecutorConfig::crash`](crate::ExecutorConfig::crash).
 
 use crate::channel::ChannelFaults;
 use msa_stream::Record;

@@ -25,24 +25,21 @@
 
 use crate::bounds::BoundsReport;
 use crate::channel::ChannelStats;
-use crate::executor::{Executor, ExecutorConfig, RunReport, ValueSource};
-use crate::faults::{CrashPlan, FaultPlan, ShardFault};
-use crate::guard::{DegradationPolicy, GuardPolicy};
+use crate::executor::{Executor, ExecutorConfig, RunReport};
+use crate::faults::{CrashPlan, ShardFault};
+use crate::guard::DegradationPolicy;
 use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
 use crate::snapshot::{RecoveryError, Snapshot};
 use crate::store::StoreHandle;
-use crate::supervise::{
-    PoisonRecord, ShardDriver, ShardHealth, ShardHeartbeat, ShardState, SupervisorPolicy,
-};
+use crate::supervise::{ShardDriver, ShardHealth, ShardHeartbeat, ShardState, SupervisorPolicy};
 use crate::swap::{
     validate_handoff, HandoffViolation, RollbackReason, SwapCrashPoint, SwapError, SwapFault,
     SwapOutcome, SwapReport,
 };
 use crate::table::TableStats;
-use crate::CostParams;
 use msa_stream::hash::mix64;
-use msa_stream::{AttrSet, Filter, Record, RecordChunk, PROCESSING_WINDOW_SIZE};
+use msa_stream::{AttrSet, Record, RecordChunk, PROCESSING_WINDOW_SIZE};
 use std::sync::Arc;
 
 /// Domain-separation salt for the partitioner's hash chain.
@@ -111,10 +108,10 @@ impl std::error::Error for ShardError {}
 
 /// `N` shard [`Executor`]s behind a deterministic hash partitioner.
 ///
-/// Configure with the same builder verbs as [`Executor`] (they apply to
-/// every shard, with per-shard derivations where the subsystem needs
-/// them: seeds, fault PRNG streams, `peak_budget / N` guard budgets,
-/// `buckets / N` table allocations), feed records with
+/// Built from the same [`ExecutorConfig`] as a serial executor: every
+/// shard instantiates it, with per-shard derivations where the
+/// subsystem needs them (seeds, fault PRNG streams, `peak_budget / N`
+/// guard budgets, `buckets / N` table allocations). Feed records with
 /// [`ShardedExecutor::run`], and collect the merged outputs with
 /// [`ShardedExecutor::finish`].
 #[derive(Debug)]
@@ -138,23 +135,19 @@ pub struct ShardedExecutor {
 }
 
 impl ShardedExecutor {
-    /// Creates an `shards`-way deployment over `plan`. The plan is the
+    /// Creates a `shards`-way deployment of `config`. Its plan is the
     /// *serial* plan — each shard instantiates it with `buckets / N`
     /// per table, so the deployment as a whole respects the memory
-    /// limit the plan was sized for.
-    pub fn new(
-        plan: PhysicalPlan,
-        costs: CostParams,
-        epoch_micros: u64,
-        seed: u64,
-        shards: usize,
-    ) -> Result<ShardedExecutor, ShardError> {
+    /// limit the plan was sized for. An armed `config.crash` arms every
+    /// shard (fuse counters are shard-local);
+    /// [`ShardedExecutor::with_crash`] overrides one shard's fuses.
+    pub fn new(config: ExecutorConfig, shards: usize) -> Result<ShardedExecutor, ShardError> {
         if shards == 0 {
             return Err(ShardError::ZeroShards);
         }
         let mut sharded = ShardedExecutor {
-            config: ExecutorConfig::new(plan, costs, epoch_micros, seed),
-            crashes: vec![CrashPlan::none(); shards],
+            crashes: vec![config.crash; shards],
+            config,
             shard_faults: vec![ShardFault::none(); shards],
             policy: SupervisorPolicy::default(),
             stores: Vec::new(),
@@ -209,8 +202,9 @@ impl ShardedExecutor {
     }
 
     /// (Re)builds every shard executor from the current configuration.
-    /// Builders call this; any processed state is discarded, exactly as
-    /// reconfiguring a serial executor mid-stream would be a new run.
+    /// The constructor and the per-shard verbs call this; any processed
+    /// state is discarded, exactly as reconfiguring a serial executor
+    /// mid-stream would be a new run.
     fn rebuild(&mut self) {
         self.shards = (0..self.n)
             .map(|k| {
@@ -222,44 +216,6 @@ impl ShardedExecutor {
             })
             .collect();
         self.health = vec![ShardHealth::default(); self.n];
-    }
-
-    /// Sets the metric-value source for every shard.
-    pub fn with_value_source(mut self, source: ValueSource) -> ShardedExecutor {
-        self.config.value_source = source;
-        self.rebuild();
-        self
-    }
-
-    /// Installs a selection filter on every shard.
-    pub fn with_filter(mut self, filter: Filter) -> ShardedExecutor {
-        self.config.filter = filter;
-        self.rebuild();
-        self
-    }
-
-    /// Wires channel-level faults into every shard. Each shard's
-    /// channel draws an independent PRNG stream derived from the plan's
-    /// seed, so fault decisions stay deterministic per shard.
-    pub fn with_faults(mut self, plan: &FaultPlan) -> ShardedExecutor {
-        self.config.faults = Some(*plan);
-        self.rebuild();
-        self
-    }
-
-    /// Enables the overload guard on every shard, each policing
-    /// `peak_budget / N` — its share of the deployment budget.
-    pub fn with_guard(mut self, policy: GuardPolicy) -> ShardedExecutor {
-        self.config.guard = Some(policy);
-        self.rebuild();
-        self
-    }
-
-    /// Enables boundary checkpoints on every shard.
-    pub fn with_durability(mut self) -> ShardedExecutor {
-        self.config.durable = true;
-        self.rebuild();
-        self
     }
 
     /// Attaches one durable [`StoreHandle`] per shard (by index) and
@@ -309,24 +265,10 @@ impl ShardedExecutor {
         &self.health[k]
     }
 
-    /// Every quarantined poison record across the deployment, in shard
-    /// order — the typed report behind `RunReport::records_poisoned`.
-    pub fn poison_reports(&self) -> Vec<PoisonRecord> {
-        self.health
-            .iter()
-            .flat_map(|h| h.poisoned.iter().cloned())
-            .collect()
-    }
-
     /// Shard `k`'s live heartbeat (progress counter + supervision
     /// state), observable from outside the worker thread.
     pub fn heartbeat(&self, k: usize) -> Arc<ShardHeartbeat> {
         Arc::clone(&self.heartbeats[k])
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.n
     }
 
     /// The shard executor at index `k`.
@@ -869,6 +811,7 @@ impl ShardedExecutor {
 mod tests {
     use super::*;
     use crate::plan::PlanNode;
+    use crate::CostParams;
     use msa_stream::hash::FastMap;
     use msa_stream::GroupKey;
 
@@ -916,9 +859,8 @@ mod tests {
 
     #[test]
     fn zero_shards_is_rejected() {
-        let err = ShardedExecutor::new(phantom_plan(), CostParams::paper(), u64::MAX, 1, 0)
-            .map(|_| ())
-            .unwrap_err();
+        let cfg = ExecutorConfig::new(phantom_plan(), CostParams::paper(), u64::MAX, 1);
+        let err = ShardedExecutor::new(cfg, 0).map(|_| ()).unwrap_err();
         assert_eq!(err, ShardError::ZeroShards);
     }
 
@@ -944,11 +886,11 @@ mod tests {
     #[test]
     fn one_shard_is_bit_identical_to_serial() {
         let recs = stream(5000);
-        let mut serial = Executor::new(phantom_plan(), CostParams::paper(), 500_000, 7);
+        let cfg = ExecutorConfig::new(phantom_plan(), CostParams::paper(), 500_000, 7);
+        let mut serial = cfg.build();
         serial.run(&recs);
         let (sr, sh) = serial.finish();
-        let mut one =
-            ShardedExecutor::new(phantom_plan(), CostParams::paper(), 500_000, 7, 1).unwrap();
+        let mut one = ShardedExecutor::new(cfg, 1).unwrap();
         one.run(&recs);
         let (or_, oh) = one.finish();
         assert_eq!(sr, or_);
@@ -958,12 +900,12 @@ mod tests {
     #[test]
     fn sharded_results_match_serial_per_epoch() {
         let recs = stream(6000);
-        let mut serial = Executor::new(phantom_plan(), CostParams::paper(), 500_000, 7);
+        let cfg = ExecutorConfig::new(phantom_plan(), CostParams::paper(), 500_000, 7);
+        let mut serial = cfg.build();
         serial.run(&recs);
         let (_, sh) = serial.finish();
         for &n in &[2usize, 4] {
-            let mut sharded =
-                ShardedExecutor::new(phantom_plan(), CostParams::paper(), 500_000, 7, n).unwrap();
+            let mut sharded = ShardedExecutor::new(cfg.clone(), n).unwrap();
             sharded.run(&recs);
             let (report, hfta) = sharded.finish();
             assert_eq!(report.records, recs.len() as u64);
@@ -980,8 +922,8 @@ mod tests {
     fn two_threaded_runs_are_bit_identical() {
         let recs = stream(6000);
         let run = || {
-            let mut sharded =
-                ShardedExecutor::new(phantom_plan(), CostParams::paper(), 500_000, 11, 4).unwrap();
+            let cfg = ExecutorConfig::new(phantom_plan(), CostParams::paper(), 500_000, 11);
+            let mut sharded = ShardedExecutor::new(cfg, 4).unwrap();
             sharded.run(&recs);
             sharded.finish()
         };
@@ -993,8 +935,8 @@ mod tests {
 
     #[test]
     fn shard_seeds_and_plans_are_derived() {
-        let sharded =
-            ShardedExecutor::new(phantom_plan(), CostParams::paper(), u64::MAX, 3, 4).unwrap();
+        let cfg = ExecutorConfig::new(phantom_plan(), CostParams::paper(), u64::MAX, 3);
+        let sharded = ShardedExecutor::new(cfg, 4).unwrap();
         // Derived seeds are distinct from each other and the root.
         let mut seeds: Vec<u64> = (0..4).map(|k| shard_seed(3, k, 4)).collect();
         seeds.dedup();

@@ -184,7 +184,6 @@ enum LoadFail {
 #[derive(Debug)]
 pub struct CheckpointStore {
     backend: Box<dyn StorageBackend>,
-    retry_budget: u32,
     /// The generation the next commit creates: above every generation
     /// listed at open or power cut and every one tried since, so
     /// fallback never re-enters a quarantined generation and every link
@@ -215,7 +214,6 @@ impl CheckpointStore {
     pub fn open(backend: Box<dyn StorageBackend>) -> Result<CheckpointStore, StoreError> {
         let mut store = CheckpointStore {
             backend,
-            retry_budget: DEFAULT_RETRY_BUDGET,
             next_generation: 1,
             heads: [0; 2],
             on_disk: BTreeSet::new(),
@@ -225,12 +223,6 @@ impl CheckpointStore {
         };
         store.rescan()?;
         Ok(store)
-    }
-
-    /// Replaces the transient-EIO retry budget (attempt-counted).
-    pub fn with_retry_budget(mut self, budget: u32) -> CheckpointStore {
-        self.retry_budget = budget;
-        self
     }
 
     /// The store-relative path of generation `generation`: one file in
@@ -264,7 +256,7 @@ impl CheckpointStore {
         loop {
             match op(self.backend.as_mut()) {
                 Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempts < self.retry_budget => {
+                Err(e) if e.is_transient() && attempts < DEFAULT_RETRY_BUDGET => {
                     attempts += 1;
                     self.stats.io_retries += 1;
                 }
@@ -830,7 +822,7 @@ mod tests {
     /// `records(10 * n)` (ten records per epoch).
     fn boundary_snapshots(n: usize) -> Vec<Snapshot> {
         let recs = records(10 * n as u32);
-        let mut ex = config().build().with_snapshots();
+        let mut ex = config().build();
         let mut out = Vec::new();
         for (e, epoch) in recs.chunks(10).enumerate() {
             ex.run(epoch);

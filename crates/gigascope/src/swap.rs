@@ -182,7 +182,8 @@ pub enum SwapError {
         shard: usize,
     },
     /// A crash drill needs deployment-wide durability
-    /// (`with_durability`): a real crash keeps only durable artifacts.
+    /// (`ExecutorConfig::durable`): a real crash keeps only durable
+    /// artifacts.
     CrashDrillNeedsDurability,
     /// A shard's durable checkpoint lags the quiesce boundary — a crash
     /// there would lose committed work, so the drill refuses to run.
@@ -223,7 +224,7 @@ impl std::fmt::Display for SwapError {
             SwapError::CrashDrillNeedsDurability => write!(
                 f,
                 "a swap crash drill needs deployment-wide durability \
-                 (enable with_durability)"
+                 (set ExecutorConfig::durable)"
             ),
             SwapError::StaleCheckpoint { shard } => write!(
                 f,

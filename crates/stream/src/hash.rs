@@ -134,12 +134,6 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, FastState>;
 /// A `HashSet` keyed with the workspace hasher.
 pub type FastSet<K> = std::collections::HashSet<K, FastState>;
 
-/// A [`FastMap`] with room for `capacity` entries — the deterministic
-/// replacement for `HashMap::with_capacity` (msa-lint D002).
-pub fn fast_map_with_capacity<K, V>(capacity: usize) -> FastMap<K, V> {
-    FastMap::with_capacity_and_hasher(capacity, FastState::default())
-}
-
 /// A [`FastSet`] with room for `capacity` entries — the deterministic
 /// replacement for `HashSet::with_capacity` (msa-lint D002).
 pub fn fast_set_with_capacity<K>(capacity: usize) -> FastSet<K> {

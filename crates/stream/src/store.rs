@@ -618,12 +618,6 @@ impl SimBackend {
         self.dead = false;
     }
 
-    /// Rearms the fault plan (op counter keeps running).
-    pub fn set_faults(&mut self, plan: StorageFaultPlan) {
-        self.prng = SplitMix64::new(plan.eio_seed);
-        self.plan = plan;
-    }
-
     /// Runs the fault gate for one mutating op. Returns the torn length
     /// when the torn-write fault fires on this op.
     fn gate(&mut self, op: &'static str, path: &str) -> Result<Option<usize>, StoreError> {

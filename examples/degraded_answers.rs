@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example degraded_answers`
 
 use msa_core::{
-    AttrSet, Burst, CostParams, DegradationPolicy, Executor, FaultPlan, GuardPolicy, MsaError,
+    AttrSet, Burst, CostParams, DegradationPolicy, ExecutorConfig, FaultPlan, GuardPolicy, MsaError,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_stream::UniformStreamBuilder;
@@ -60,7 +60,7 @@ fn main() -> Result<(), MsaError> {
 
     // Calibrate the planned per-epoch cost on the organic stream, then
     // set a deliberately tight budget so the burst forces degradation.
-    let mut probe = Executor::new(plan()?, CostParams::paper(), EPOCH_MICROS, 7);
+    let mut probe = ExecutorConfig::new(plan()?, CostParams::paper(), EPOCH_MICROS, 7).build();
     probe.run(&organic.records);
     let (probe_report, _) = probe.finish();
     let planned = probe_report
@@ -86,9 +86,12 @@ fn main() -> Result<(), MsaError> {
 
     let base_plan = plan()?;
     let run = || -> (msa_core::BoundsReport, Vec<String>) {
-        let mut ex = Executor::new(base_plan.clone(), CostParams::paper(), EPOCH_MICROS, 7)
-            .with_guard(guard)
-            .with_faults(&faults);
+        let mut ex = ExecutorConfig {
+            guard: Some(guard),
+            faults: Some(faults),
+            ..ExecutorConfig::new(base_plan.clone(), CostParams::paper(), EPOCH_MICROS, 7)
+        }
+        .build();
         let mut lines = Vec::new();
         let mut seen_epochs = 0;
         for r in &records {

@@ -19,7 +19,7 @@
 
 use msa_core::LinearModel;
 use msa_core::{
-    Algorithm, AllocStrategy, AttrSet, CostParams, EngineOptions, Executor, MsaError,
+    Algorithm, AllocStrategy, AttrSet, CostParams, EngineOptions, ExecutorConfig, MsaError,
     MultiAggregator, Schema,
 };
 use msa_optimizer::cost::CostContext;
@@ -77,7 +77,9 @@ fn main() -> Result<(), MsaError> {
         predicted_update_cost: 0.0,
     };
     let mut flat_ex =
-        Executor::new(flat_plan.to_physical(), CostParams::paper(), u64::MAX, 5).discard_results();
+        ExecutorConfig::new(flat_plan.to_physical(), CostParams::paper(), u64::MAX, 5)
+            .build()
+            .discard_results();
     flat_ex.run(&trace.records);
     let without_phantoms = flat_ex.report().per_record_cost();
 

@@ -22,8 +22,8 @@
 //! differential battery.
 
 use msa_core::{
-    AttrSet, BoundsReport, Burst, CostParams, CrashPlan, DegradationPolicy, Executor, FaultPlan,
-    GuardPolicy, Record, ShardFault, ShardedExecutor, SupervisorPolicy,
+    AttrSet, BoundsReport, Burst, CostParams, CrashPlan, DegradationPolicy, Executor,
+    ExecutorConfig, FaultPlan, GuardPolicy, Record, ShardFault, ShardedExecutor, SupervisorPolicy,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_stream::hash::FastMap;
@@ -87,8 +87,12 @@ fn stream(scale: f64) -> Vec<Record> {
         .records
 }
 
+fn config() -> ExecutorConfig {
+    ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
+}
+
 fn build(n: usize) -> ShardedExecutor {
-    ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED, n).unwrap()
+    ShardedExecutor::new(config(), n).unwrap()
 }
 
 /// Exact per-group recount of the undisturbed stream for one query.
@@ -193,7 +197,11 @@ fn channel_fault_matrix_is_sound_and_deterministic() {
         for (fname, faults) in &cells {
             let label = format!("{n} shards/{fname}");
             let run_once = || {
-                let mut sx = build(n).with_faults(faults);
+                let config = ExecutorConfig {
+                    faults: Some(*faults),
+                    ..config()
+                };
+                let mut sx = ShardedExecutor::new(config, n).unwrap();
                 sx.run(&records);
                 let (report, hfta) = sx.finish();
                 (BoundsReport::at_finish(&report, &hfta), report)
@@ -262,7 +270,11 @@ fn burst_disturbance_keeps_bounds_sound() {
     for &n in &shard_counts(scale()) {
         let label = format!("{n} shards/burst");
         let run_once = || {
-            let mut sx = build(n).with_faults(&faults);
+            let config = ExecutorConfig {
+                faults: Some(faults),
+                ..config()
+            };
+            let mut sx = ShardedExecutor::new(config, n).unwrap();
             sx.run(&disturbed);
             let (report, hfta) = sx.finish();
             BoundsReport::at_finish(&report, &hfta)
@@ -365,8 +377,12 @@ fn overrun_and_shutdown_losses_stay_sound() {
     // A dead *process* mid-epoch: its in-flight feed is shutdown loss,
     // its parked table mass is abandoned — never silently dropped.
     let shutdown_once = || {
-        let mut sx = build(n)
-            .with_durability()
+        let config = ExecutorConfig {
+            durable: true,
+            ..config()
+        };
+        let mut sx = ShardedExecutor::new(config, n)
+            .unwrap()
             .with_crash(n - 1, CrashPlan::at_record(len / 2));
         sx.run(&records);
         let (report, hfta) = sx.finish();
@@ -391,7 +407,8 @@ fn overload_stream(scale: f64) -> (Vec<Record>, f64, u64) {
         .duration_secs(6.0)
         .seed(3)
         .build();
-    let mut base = Executor::new(phantom_plan(), CostParams::paper(), epoch_micros, 7);
+    let mut base =
+        ExecutorConfig::new(phantom_plan(), CostParams::paper(), epoch_micros, 7).build();
     base.run(&organic.records);
     let (base_report, _) = base.finish();
     let planned: f64 = base_report
@@ -417,7 +434,11 @@ fn overloaded(policy: DegradationPolicy, e_p: f64, epoch: u64) -> Executor {
     let mut guard = GuardPolicy::new(e_p).with_degradation(policy);
     guard.recover_ratio = 0.6;
     guard.shed_factor = 4;
-    Executor::new(phantom_plan(), CostParams::paper(), epoch, 7).with_guard(guard)
+    ExecutorConfig {
+        guard: Some(guard),
+        ..ExecutorConfig::new(phantom_plan(), CostParams::paper(), epoch, 7)
+    }
+    .build()
 }
 
 /// `BestEffort` sheds freely under the burst; every shed record is
@@ -519,9 +540,12 @@ fn uncontrolled_loss_breaches_the_promise_deterministically() {
     let run_once = || {
         let guard = GuardPolicy::new(1e12)
             .with_degradation(DegradationPolicy::BoundedApprox { max_width: 1 });
-        let mut ex = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
-            .with_guard(guard)
-            .with_faults(&FaultPlan::new(0xFA11).with_eviction_loss(0.10));
+        let mut ex = ExecutorConfig {
+            guard: Some(guard),
+            faults: Some(FaultPlan::new(0xFA11).with_eviction_loss(0.10)),
+            ..config()
+        }
+        .build();
         ex.run(&records);
         let (report, hfta) = ex.finish();
         (BoundsReport::at_finish(&report, &hfta), report)
@@ -554,9 +578,12 @@ fn bounds_survive_crash_recovery_bit_identical() {
     let guard =
         GuardPolicy::new(1e12).with_degradation(DegradationPolicy::BoundedApprox { max_width: 3 });
 
-    let mut base = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
-        .with_guard(guard)
-        .with_faults(&faults);
+    let mut base = ExecutorConfig {
+        guard: Some(guard),
+        faults: Some(faults),
+        ..config()
+    }
+    .build();
     base.run(&records);
     let (base_report, base_hfta) = base.finish();
     let base_bounds = BoundsReport::at_finish(&base_report, &base_hfta);
@@ -574,11 +601,14 @@ fn bounds_survive_crash_recovery_bit_identical() {
     };
     for at in crash_points {
         let label = format!("crash at record {at}");
-        let mut crashed = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
-            .with_guard(guard)
-            .with_faults(&faults)
-            .with_snapshots()
-            .with_crash(CrashPlan::at_record(at));
+        let mut crashed = ExecutorConfig {
+            guard: Some(guard),
+            faults: Some(faults),
+            durable: true,
+            crash: CrashPlan::at_record(at),
+            ..config()
+        }
+        .build();
         crashed.run(&records);
         assert!(crashed.has_crashed(), "{label}: fuse must fire");
         // The degraded-answer view of the crashed process: still sound
@@ -593,7 +623,8 @@ fn bounds_survive_crash_recovery_bit_identical() {
         }
         let snap = crashed.latest_snapshot().expect("genesis snapshot exists");
         let hwm = snap.records_hwm as usize;
-        let mut recovered = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
+        let mut recovered = config()
+            .build()
             .recover(snap)
             .unwrap_or_else(|e| panic!("{label}: recovery refused: {e}"));
         recovered.run(&records[hwm..]);

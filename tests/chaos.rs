@@ -15,7 +15,7 @@
 //!    recover bit-identically from the boundary checkpoint plus replay.
 
 use msa_core::{
-    AttrSet, Burst, CostParams, CrashPlan, EngineOptions, Executor, FaultPlan, GuardLevel,
+    AttrSet, Burst, CostParams, CrashPlan, EngineOptions, ExecutorConfig, FaultPlan, GuardLevel,
     GuardPolicy, MultiAggregator, Record,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
@@ -137,7 +137,8 @@ fn burst_and_skew_streams_stay_exact() {
     assert!(disturbed.len() > stream.records.len(), "burst amplified");
     assert_eq!(disturbed, plan.apply_to_stream(&stream.records, 1_000_000));
 
-    let mut ex = Executor::new(phantom_plan(512, 256), CostParams::paper(), 1_000_000, 7);
+    let mut ex =
+        ExecutorConfig::new(phantom_plan(512, 256), CostParams::paper(), 1_000_000, 7).build();
     ex.run(&disturbed);
     let (report, hfta) = ex.finish();
     assert_eq!(report.records as usize, disturbed.len());
@@ -163,7 +164,8 @@ fn fresh_group_burst_is_exact_and_raises_flush_cost() {
     });
     let disturbed = plan.apply_to_stream(&stream.records, 1_000_000);
 
-    let mut ex = Executor::new(phantom_plan(4096, 2048), CostParams::paper(), 1_000_000, 7);
+    let mut ex =
+        ExecutorConfig::new(phantom_plan(4096, 2048), CostParams::paper(), 1_000_000, 7).build();
     ex.run(&disturbed);
     let (report, hfta) = ex.finish();
     for q in [s("A"), s("B")] {
@@ -202,7 +204,8 @@ fn overload_guard_demo_caps_cost_and_recovers() {
 
     // Baseline: unguarded run on the organic stream fixes the planned
     // per-epoch cost.
-    let mut base = Executor::new(phantom_plan(128, 64), CostParams::paper(), epoch_micros, 7);
+    let mut base =
+        ExecutorConfig::new(phantom_plan(128, 64), CostParams::paper(), epoch_micros, 7).build();
     base.run(&stream.records);
     let (base_report, _) = base.finish();
     let planned: f64 = base_report
@@ -233,8 +236,11 @@ fn overload_guard_demo_caps_cost_and_recovers() {
     let mut policy = GuardPolicy::new(e_p);
     policy.recover_ratio = 0.6;
     policy.shed_factor = 4;
-    let mut ex = Executor::new(phantom_plan(128, 64), CostParams::paper(), epoch_micros, 7)
-        .with_guard(policy);
+    let mut ex = ExecutorConfig {
+        guard: Some(policy),
+        ..ExecutorConfig::new(phantom_plan(128, 64), CostParams::paper(), epoch_micros, 7)
+    }
+    .build();
     ex.run(&disturbed);
     let (report, _, guard) = ex.finish_parts();
     let guard = guard.expect("guard configured");
@@ -333,9 +339,11 @@ fn crash_sweep_composed_with_channel_faults_recovers_exactly() {
     let faults = FaultPlan::new(0xDEAD)
         .with_eviction_loss(0.10)
         .with_eviction_duplication(0.05);
-    let build = || {
-        Executor::new(phantom_plan(64, 32), CostParams::paper(), 1_000_000, 9).with_faults(&faults)
+    let config = ExecutorConfig {
+        faults: Some(faults),
+        ..ExecutorConfig::new(phantom_plan(64, 32), CostParams::paper(), 1_000_000, 9)
     };
+    let build = || config.build();
 
     // Crash-free reference.
     let mut base = build();
@@ -374,7 +382,12 @@ fn crash_sweep_composed_with_channel_faults_recovers_exactly() {
         (CrashPlan::after_offers(total_offers - 1), "final flush"),
     ];
     for (crash, what) in crashes {
-        let mut crashed = build().with_snapshots().with_crash(crash);
+        let mut crashed = ExecutorConfig {
+            durable: true,
+            crash,
+            ..config.clone()
+        }
+        .build();
         crashed.run(&stream.records);
         if !crashed.has_crashed() {
             crashed.flush_epoch();
@@ -426,9 +439,12 @@ fn tiny_tables_under_full_fault_plan_do_not_panic() {
         })
         .with_clock_skew(-750_000);
     let disturbed = faults.apply_to_stream(&stream.records, 1_000_000);
-    let mut ex = Executor::new(phantom_plan(1, 1), CostParams::paper(), 1_000_000, 21)
-        .with_faults(&faults)
-        .with_guard(GuardPolicy::new(0.0));
+    let mut ex = ExecutorConfig {
+        faults: Some(faults),
+        guard: Some(GuardPolicy::new(0.0)),
+        ..ExecutorConfig::new(phantom_plan(1, 1), CostParams::paper(), 1_000_000, 21)
+    }
+    .build();
     ex.run(&disturbed);
     let (report, hfta) = ex.finish();
     assert_eq!(report.records as usize, disturbed.len());
@@ -458,9 +474,12 @@ fn identical_seeds_produce_identical_run_reports() {
         let faults = FaultPlan::new(0xFEED_FACE)
             .with_eviction_loss(0.08)
             .with_eviction_duplication(0.04);
-        let mut ex = Executor::new(phantom_plan(64, 32), CostParams::paper(), 1_000_000, 5)
-            .with_faults(&faults)
-            .with_snapshots();
+        let mut ex = ExecutorConfig {
+            faults: Some(faults),
+            durable: true,
+            ..ExecutorConfig::new(phantom_plan(64, 32), CostParams::paper(), 1_000_000, 5)
+        }
+        .build();
         ex.run(&trace.records);
         ex.finish()
     };
@@ -494,15 +513,19 @@ fn sharded_chaos_runs_are_deterministic_across_seeds() {
             .with_eviction_duplication(0.03);
         let sharded = || {
             let mut sx = ShardedExecutor::new(
-                phantom_plan(64, 16),
-                CostParams::paper(),
-                1_000_000,
-                seed,
+                ExecutorConfig {
+                    faults: Some(faults),
+                    guard: Some(GuardPolicy::new(4_000.0)),
+                    ..ExecutorConfig::new(
+                        phantom_plan(64, 16),
+                        CostParams::paper(),
+                        1_000_000,
+                        seed,
+                    )
+                },
                 4,
             )
-            .unwrap()
-            .with_faults(&faults)
-            .with_guard(GuardPolicy::new(4_000.0));
+            .unwrap();
             sx.run(&records);
             sx.finish()
         };
@@ -510,9 +533,12 @@ fn sharded_chaos_runs_are_deterministic_across_seeds() {
         let (report_b, hfta_b) = sharded();
         assert_eq!(report_a, report_b, "seed {seed}: merged report");
         assert_eq!(hfta_a.results(), hfta_b.results(), "seed {seed}: results");
-        let mut serial = Executor::new(phantom_plan(64, 16), CostParams::paper(), 1_000_000, seed)
-            .with_faults(&faults)
-            .with_guard(GuardPolicy::new(4_000.0));
+        let mut serial = ExecutorConfig {
+            faults: Some(faults),
+            guard: Some(GuardPolicy::new(4_000.0)),
+            ..ExecutorConfig::new(phantom_plan(64, 16), CostParams::paper(), 1_000_000, seed)
+        }
+        .build();
         serial.run(&records);
         let (serial_report, serial_hfta) = serial.finish();
         assert_eq!(report_a.records, serial_report.records, "seed {seed}");
@@ -556,12 +582,15 @@ fn sharded_lossless_chaos_matches_serial_totals() {
             })
             .with_clock_skew(150_000);
         let records = disturb.apply_to_stream(&base, 1_000_000);
-        let mut sx =
-            ShardedExecutor::new(phantom_plan(32, 8), CostParams::paper(), 1_000_000, seed, 3)
-                .unwrap();
+        let mut sx = ShardedExecutor::new(
+            ExecutorConfig::new(phantom_plan(32, 8), CostParams::paper(), 1_000_000, seed),
+            3,
+        )
+        .unwrap();
         sx.run(&records);
         let (_, hfta) = sx.finish();
-        let mut serial = Executor::new(phantom_plan(32, 8), CostParams::paper(), 1_000_000, seed);
+        let mut serial =
+            ExecutorConfig::new(phantom_plan(32, 8), CostParams::paper(), 1_000_000, seed).build();
         serial.run(&records);
         let (_, serial_hfta) = serial.finish();
         for q in [s("A"), s("B")] {

@@ -25,8 +25,8 @@
 //! run a reduced battery; unset means the full matrix.
 
 use msa_core::{
-    AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Record, RunReport,
-    ShardedExecutor, Snapshot,
+    AttrSet, Burst, CostParams, CrashPlan, Executor, ExecutorConfig, FaultPlan, GuardPolicy,
+    Record, RunReport, ShardedExecutor, Snapshot,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -133,14 +133,12 @@ fn disturbed(base: &[Record], faults: &Option<FaultPlan>) -> Vec<Record> {
 }
 
 fn build_serial(faults: &Option<FaultPlan>, guard_on: bool) -> Executor {
-    let mut ex = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED);
-    if let Some(f) = faults {
-        ex = ex.with_faults(f);
+    ExecutorConfig {
+        faults: *faults,
+        guard: guard_on.then(|| GuardPolicy::new(GUARD_BUDGET)),
+        ..ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
     }
-    if guard_on {
-        ex = ex.with_guard(GuardPolicy::new(GUARD_BUDGET));
-    }
-    ex
+    .build()
 }
 
 fn build_sharded(
@@ -149,17 +147,13 @@ fn build_sharded(
     guard_on: bool,
     durable: bool,
 ) -> ShardedExecutor {
-    let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED, n).unwrap();
-    if let Some(f) = faults {
-        sx = sx.with_faults(f);
-    }
-    if guard_on {
-        sx = sx.with_guard(GuardPolicy::new(GUARD_BUDGET));
-    }
-    if durable {
-        sx = sx.with_durability();
-    }
-    sx
+    let config = ExecutorConfig {
+        faults: *faults,
+        guard: guard_on.then(|| GuardPolicy::new(GUARD_BUDGET)),
+        durable,
+        ..ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
+    };
+    ShardedExecutor::new(config, n).unwrap()
 }
 
 fn run_sharded(

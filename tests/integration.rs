@@ -3,8 +3,8 @@
 //! model-vs-measurement agreement.
 
 use msa_core::{
-    AttrSet, Configuration, CostParams, EngineOptions, Executor, LinearModel, MultiAggregator,
-    Plan, Record,
+    AttrSet, Configuration, CostParams, EngineOptions, ExecutorConfig, LinearModel,
+    MultiAggregator, Plan, Record,
 };
 use msa_optimizer::cost::{per_record_cost, CostContext};
 use msa_optimizer::{greedy_collision, AllocStrategy, FeedingGraph};
@@ -80,8 +80,9 @@ fn phantoms_beat_no_phantoms_on_clustered_data_measured() {
             predicted_cost: 0.0,
             predicted_update_cost: 0.0,
         };
-        let mut ex =
-            Executor::new(plan.to_physical(), CostParams::paper(), u64::MAX, 9).discard_results();
+        let mut ex = ExecutorConfig::new(plan.to_physical(), CostParams::paper(), u64::MAX, 9)
+            .build()
+            .discard_results();
         ex.run(&trace.records);
         ex.report().per_record_cost()
     };
@@ -118,8 +119,9 @@ fn predicted_cost_tracks_measured_cost() {
             predicted_cost: predicted,
             predicted_update_cost: 0.0,
         };
-        let mut ex =
-            Executor::new(plan.to_physical(), CostParams::paper(), u64::MAX, 3).discard_results();
+        let mut ex = ExecutorConfig::new(plan.to_physical(), CostParams::paper(), u64::MAX, 3)
+            .build()
+            .discard_results();
         ex.run(&stream.records);
         let measured = ex.report().per_record_cost();
         let ratio = predicted / measured;
@@ -206,7 +208,7 @@ fn executor_flush_cost_tracks_eq8_prediction() {
         predicted_cost: 0.0,
         predicted_update_cost: predicted,
     };
-    let mut ex = Executor::new(plan.to_physical(), CostParams::paper(), u64::MAX, 4);
+    let mut ex = ExecutorConfig::new(plan.to_physical(), CostParams::paper(), u64::MAX, 4).build();
     ex.run(&stream.records);
     let (report, _) = ex.finish();
     let measured = report.flush_cost();

@@ -3,7 +3,7 @@
 //! explores the same (large) sample deterministically — the workspace
 //! builds offline with no property-testing framework.
 
-use msa_core::{AttrSet, Configuration, CostParams, Executor, LinearModel, Record};
+use msa_core::{AttrSet, Configuration, CostParams, ExecutorConfig, LinearModel, Record};
 use msa_gigascope::{PhysicalPlan, PlanNode};
 use msa_optimizer::cost::{per_record_cost, CostContext};
 use msa_optimizer::{AllocStrategy, FeedingGraph};
@@ -90,7 +90,7 @@ fn executor_is_exact_for_any_phantom_tree() {
             },
         ])
         .unwrap();
-        let mut ex = Executor::new(plan, CostParams::paper(), u64::MAX, 11);
+        let mut ex = ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 11).build();
         ex.run(&records);
         let (_, hfta) = ex.finish();
         for q in ["AB", "C", "D"] {
@@ -323,7 +323,11 @@ fn group_keys_zero_their_dead_words_and_compare_by_value() {
         node("D", Some(0), true),
     ])
     .unwrap();
-    let mut ex = Executor::new(plan, CostParams::paper(), 100, 3).with_snapshots();
+    let mut ex = ExecutorConfig {
+        durable: true,
+        ..ExecutorConfig::new(plan, CostParams::paper(), 100, 3)
+    }
+    .build();
     ex.run(&record_batch(&mut rng));
     ex.flush_epoch();
     let snap = ex.snapshot().expect("aligned after a close");
@@ -398,8 +402,11 @@ fn filter_partitions_records() {
         assert_eq!(kept + dropped, records.len());
         // And the executor's filter metering agrees.
         let plan = PhysicalPlan::flat([(AttrSet::parse("A").unwrap(), 16)]);
-        let mut ex =
-            Executor::new(plan, CostParams::paper(), u64::MAX, 5).with_filter(keep.clone());
+        let mut ex = ExecutorConfig {
+            filter: keep.clone(),
+            ..ExecutorConfig::new(plan, CostParams::paper(), u64::MAX, 5)
+        }
+        .build();
         ex.run(&records);
         assert_eq!(ex.report().filtered_out as usize, dropped);
     }
@@ -512,11 +519,11 @@ fn chunking_at_any_boundary_equals_per_record_offers() {
         let epoch = 1 + rng.next_u64() % 120;
         let guard_on = rng.next_u64().is_multiple_of(2);
         let build = || {
-            let mut ex = Executor::new(plan(), CostParams::paper(), epoch, 11);
-            if guard_on {
-                ex = ex.with_guard(GuardPolicy::new(50.0));
+            ExecutorConfig {
+                guard: guard_on.then(|| GuardPolicy::new(50.0)),
+                ..ExecutorConfig::new(plan(), CostParams::paper(), epoch, 11)
             }
-            ex
+            .build()
         };
         let mut oracle = build();
         for r in &records {
@@ -598,9 +605,11 @@ fn shard_totals_are_arrival_order_invariant() {
         let seed = rng.next_u64();
         let plan = PhysicalPlan::flat(queries.iter().map(|&q| (q, 8)));
         let run = |records: &[Record]| {
-            let mut sx =
-                ShardedExecutor::new(plan.clone(), CostParams::paper(), u64::MAX, seed, shards)
-                    .unwrap();
+            let mut sx = ShardedExecutor::new(
+                ExecutorConfig::new(plan.clone(), CostParams::paper(), u64::MAX, seed),
+                shards,
+            )
+            .unwrap();
             sx.run(records);
             sx.finish()
         };

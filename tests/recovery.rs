@@ -66,16 +66,31 @@ fn stream(seed: u64) -> Vec<Record> {
         .records
 }
 
+fn config(seed: u64) -> ExecutorConfig {
+    ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH, seed)
+}
+
 fn executor(seed: u64) -> Executor {
-    Executor::new(phantom_plan(), CostParams::paper(), EPOCH, seed)
+    config(seed).build()
+}
+
+/// A durable executor with `crash` armed.
+fn crashing(seed: u64, crash: CrashPlan) -> Executor {
+    ExecutorConfig {
+        durable: true,
+        crash,
+        ..config(seed)
+    }
+    .build()
 }
 
 /// Fault-free reference: the run that never crashes.
 fn baseline(seed: u64, faults: Option<&FaultPlan>, records: &[Record]) -> (RunReport, Hfta) {
-    let mut ex = executor(seed);
-    if let Some(f) = faults {
-        ex = ex.with_faults(f);
+    let mut ex = ExecutorConfig {
+        faults: faults.copied(),
+        ..config(seed)
     }
+    .build();
     ex.run(records);
     ex.finish()
 }
@@ -102,10 +117,13 @@ fn recover_and_compare(
     base: &(RunReport, Hfta),
     label: &str,
 ) {
-    let mut crashed = executor(seed).with_snapshots().with_crash(crash);
-    if let Some(f) = faults {
-        crashed = crashed.with_faults(f);
+    let crashed = ExecutorConfig {
+        faults: faults.copied(),
+        durable: true,
+        crash,
+        ..config(seed)
     }
+    .build();
     let snap = run_to_crash(crashed, records);
 
     let hwm = snap.records_hwm as usize;
@@ -130,10 +148,11 @@ fn recover_and_compare(
 /// The first crash point that is provably *mid-flush*: one eviction
 /// offer into an end-of-epoch scan that makes at least two.
 fn mid_flush_offer(seed: u64, faults: Option<&FaultPlan>, records: &[Record]) -> Option<u64> {
-    let mut ex = executor(seed);
-    if let Some(f) = faults {
-        ex = ex.with_faults(f);
+    let mut ex = ExecutorConfig {
+        faults: faults.copied(),
+        ..config(seed)
     }
+    .build();
     let mut prev_offers = 0u64;
     let mut prev_flush = 0u64;
     let mut prev_epochs = 0u64;
@@ -244,7 +263,11 @@ fn crash_recovery_composes_with_channel_faults() {
 fn crash_recovery_preserves_overload_guard_state() {
     let seed = 5u64;
     let records = stream(seed);
-    let build = || executor(seed).with_guard(GuardPolicy::new(400.0));
+    let guarded = ExecutorConfig {
+        guard: Some(GuardPolicy::new(400.0)),
+        ..config(seed)
+    };
+    let build = || guarded.build();
     let mut base_ex = build();
     base_ex.run(&records);
     let base = base_ex.finish();
@@ -252,9 +275,12 @@ fn crash_recovery_preserves_overload_guard_state() {
     assert!(!base.0.guard_transitions.is_empty());
 
     for at in [1_000u64, 2_500, 4_999] {
-        let crashed = build()
-            .with_snapshots()
-            .with_crash(CrashPlan::at_record(at));
+        let crashed = ExecutorConfig {
+            durable: true,
+            crash: CrashPlan::at_record(at),
+            ..guarded.clone()
+        }
+        .build();
         let snap = run_to_crash(crashed, &records);
         assert!(snap.guard.is_some(), "guard state must be captured");
         let hwm = snap.records_hwm as usize;
@@ -277,7 +303,11 @@ fn same_seed_runs_are_bit_identical() {
             let faults = FaultPlan::new(seed)
                 .with_eviction_loss(0.05)
                 .with_eviction_duplication(0.02);
-            let mut ex = executor(seed).with_faults(&faults);
+            let mut ex = ExecutorConfig {
+                faults: Some(faults),
+                ..config(seed)
+            }
+            .build();
             ex.run(&records);
             ex.finish()
         };
@@ -299,9 +329,7 @@ fn recovery_works_through_the_binary_encoding() {
     let seed = 13u64;
     let records = stream(seed);
     let base = baseline(seed, None, &records);
-    let crashed = executor(seed)
-        .with_snapshots()
-        .with_crash(CrashPlan::at_record(records.len() as u64 / 2));
+    let crashed = crashing(seed, CrashPlan::at_record(records.len() as u64 / 2));
     let snap = run_to_crash(crashed, &records);
 
     let snap2 = Snapshot::decode(&snap.encode()).expect("snapshot round-trip");
@@ -321,9 +349,7 @@ fn recovery_works_through_the_binary_encoding() {
 fn corrupted_artifacts_are_rejected() {
     let seed = 17u64;
     let records = stream(seed);
-    let crashed = executor(seed)
-        .with_snapshots()
-        .with_crash(CrashPlan::at_record(3_000));
+    let crashed = crashing(seed, CrashPlan::at_record(3_000));
     let snap = run_to_crash(crashed, &records);
 
     let mut bytes = snap.encode();
@@ -351,9 +377,7 @@ fn corrupted_artifacts_are_rejected() {
 fn corruption_sweep_truncations_and_bit_flips_yield_typed_errors() {
     for seed in 0..20u64 {
         let records = stream(seed);
-        let crashed = executor(seed)
-            .with_snapshots()
-            .with_crash(CrashPlan::at_record(2_000 + 100 * seed));
+        let crashed = crashing(seed, CrashPlan::at_record(2_000 + 100 * seed));
         let snap = run_to_crash(crashed, &records);
         let bytes = snap.encode();
         let check = |mutated: &[u8], how: &str| {
@@ -394,7 +418,7 @@ fn recovery_refuses_mismatched_artifacts_never_panics_supervised() {
     // the whole partition: even if every checkpoint were refused, the
     // fresh-build fallback replays from record zero and the run still
     // accounts for every record.
-    let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, 31, 2)
+    let mut sx = ShardedExecutor::new(config(31), 2)
         .unwrap()
         .with_shard_fault(1, ShardFault::panic_at(40))
         .with_supervision(SupervisorPolicy::default().with_replay_capacity(u64::MAX));
@@ -410,9 +434,7 @@ fn recovery_refuses_mismatched_artifacts_never_panics_supervised() {
 fn recovery_refuses_mismatched_artifacts() {
     let seed = 23u64;
     let records = stream(seed);
-    let crashed = executor(seed)
-        .with_snapshots()
-        .with_crash(CrashPlan::at_record(4_000));
+    let crashed = crashing(seed, CrashPlan::at_record(4_000));
     let snap = run_to_crash(crashed, &records);
     assert!(snap.records_hwm > 0, "need a checkpoint past genesis");
 
@@ -423,7 +445,9 @@ fn recovery_refuses_mismatched_artifacts() {
     ));
     // So is a different epoch length.
     assert!(matches!(
-        Executor::new(phantom_plan(), CostParams::paper(), EPOCH / 2, seed).recover(snap.clone()),
+        ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH / 2, seed)
+            .build()
+            .recover(snap.clone()),
         Err(RecoveryError::PlanMismatch { .. })
     ));
 
@@ -1079,9 +1103,14 @@ fn store_backed_supervised_restart_replays_bit_identically() {
     use msa_core::{ShardFault, SupervisorPolicy};
     let records = stream(31);
     let baseline = {
-        let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, 31, 2)
-            .unwrap()
-            .with_durability();
+        let mut sx = ShardedExecutor::new(
+            ExecutorConfig {
+                durable: true,
+                ..config(31)
+            },
+            2,
+        )
+        .unwrap();
         sx.run(&records);
         sx.finish()
     };
@@ -1090,7 +1119,7 @@ fn store_backed_supervised_restart_replays_bit_identically() {
             StoreHandle::in_memory().unwrap(),
             StoreHandle::in_memory().unwrap(),
         ];
-        let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, 31, 2)
+        let mut sx = ShardedExecutor::new(config(31), 2)
             .unwrap()
             .with_stores(stores)
             .with_shard_fault(1, ShardFault::panic_at(40))
@@ -1129,7 +1158,7 @@ fn crashed_shard_recovers_from_its_store_with_and_without_rot() {
             let stores: Vec<StoreHandle> =
                 (0..4).map(|_| StoreHandle::in_memory().unwrap()).collect();
             let crash_shard = 2usize;
-            let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, seed, 4)
+            let mut sx = ShardedExecutor::new(config(seed), 4)
                 .unwrap()
                 .with_stores(stores.clone())
                 .with_crash(crash_shard, CrashPlan::after_offers(7));
@@ -1200,7 +1229,7 @@ fn hot_swap_durable_commit_failure_rolls_back_untouched() {
         .unwrap()
     };
     let build = |stores: Vec<StoreHandle>| {
-        ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, seed, 2)
+        ShardedExecutor::new(config(seed), 2)
             .unwrap()
             .with_stores(stores)
     };
@@ -1287,9 +1316,14 @@ fn crashed_shard_recovers_to_match_serial_run() {
         serial.run(&records);
         let (_, want_hfta) = serial.finish();
         let build = || {
-            ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, seed, 4)
-                .unwrap()
-                .with_durability()
+            ShardedExecutor::new(
+                ExecutorConfig {
+                    durable: true,
+                    ..config(seed)
+                },
+                4,
+            )
+            .unwrap()
         };
         for crash_shard in [0usize, 2] {
             // A few offers into the shard's run lands the fuse inside an

@@ -18,9 +18,9 @@
 //! differential battery.
 
 use msa_core::{
-    shard_of, AttrSet, CheckpointStore, CostParams, CrashPlan, GuardPolicy, Record, RunReport,
-    ShardFault, ShardState, ShardedExecutor, SimBackend, StorageBackend, StoreError, StoreHandle,
-    SupervisorPolicy,
+    shard_of, AttrSet, CheckpointStore, CostParams, CrashPlan, ExecutorConfig, GuardPolicy, Record,
+    RunReport, ShardFault, ShardState, ShardedExecutor, SimBackend, StorageBackend, StoreError,
+    StoreHandle, SupervisorPolicy,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -85,12 +85,15 @@ fn stream(scale: f64) -> Vec<Record> {
         .records
 }
 
-fn build(n: usize, guard_on: bool) -> ShardedExecutor {
-    let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED, n).unwrap();
-    if guard_on {
-        sx = sx.with_guard(GuardPolicy::new(GUARD_BUDGET));
+fn config(guard_on: bool) -> ExecutorConfig {
+    ExecutorConfig {
+        guard: guard_on.then(|| GuardPolicy::new(GUARD_BUDGET)),
+        ..ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
     }
-    sx
+}
+
+fn build(n: usize, guard_on: bool) -> ShardedExecutor {
+    ShardedExecutor::new(config(guard_on), n).unwrap()
 }
 
 /// One drilled run: arm `fault` on the last shard under `policy`, feed
@@ -324,8 +327,12 @@ fn mid_epoch_close_accounts_shutdown_loss() {
     let target = n - 1;
     let len = part_len(n, &records);
     let run_once = || {
-        let mut sx = build(n, false)
-            .with_durability()
+        let config = ExecutorConfig {
+            durable: true,
+            ..config(false)
+        };
+        let mut sx = ShardedExecutor::new(config, n)
+            .unwrap()
             .with_crash(target, CrashPlan::at_record(len / 2));
         sx.run(&records);
         assert_eq!(sx.crashed_shards(), vec![target]);

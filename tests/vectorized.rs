@@ -22,8 +22,8 @@
 //! `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix.
 
 use msa_core::{
-    AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Record, RecordChunk,
-    RunReport, ShardedExecutor, Snapshot, ValueSource,
+    AttrSet, Burst, CostParams, CrashPlan, Executor, ExecutorConfig, FaultPlan, GuardPolicy,
+    Record, RecordChunk, RunReport, ShardedExecutor, Snapshot, ValueSource,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -128,15 +128,13 @@ fn disturbed(base: &[Record], faults: &Option<FaultPlan>) -> Vec<Record> {
 }
 
 fn build_serial(faults: &Option<FaultPlan>, guard_on: bool) -> Executor {
-    let mut ex = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
-        .with_value_source(ValueSource::Attr(2));
-    if let Some(f) = faults {
-        ex = ex.with_faults(f);
+    ExecutorConfig {
+        value_source: ValueSource::Attr(2),
+        faults: *faults,
+        guard: guard_on.then(|| GuardPolicy::new(GUARD_BUDGET)),
+        ..ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
     }
-    if guard_on {
-        ex = ex.with_guard(GuardPolicy::new(GUARD_BUDGET));
-    }
-    ex
+    .build()
 }
 
 fn build_sharded(
@@ -145,19 +143,14 @@ fn build_sharded(
     guard_on: bool,
     durable: bool,
 ) -> ShardedExecutor {
-    let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED, n)
-        .unwrap()
-        .with_value_source(ValueSource::Attr(2));
-    if let Some(f) = faults {
-        sx = sx.with_faults(f);
-    }
-    if guard_on {
-        sx = sx.with_guard(GuardPolicy::new(GUARD_BUDGET));
-    }
-    if durable {
-        sx = sx.with_durability();
-    }
-    sx
+    let config = ExecutorConfig {
+        value_source: ValueSource::Attr(2),
+        faults: *faults,
+        guard: guard_on.then(|| GuardPolicy::new(GUARD_BUDGET)),
+        durable,
+        ..ExecutorConfig::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
+    };
+    ShardedExecutor::new(config, n).unwrap()
 }
 
 /// Everything a cell can observe from a finished serial executor.
