@@ -5,6 +5,25 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Reruns bench `$1` at the scale and seed results/BENCH_$1.json was
+# recorded with and fails on any byte difference. For benches whose
+# file holds only counts, never timings; the committed file is restored
+# either way.
+reproduces_bench() {
+    out="results/BENCH_$1.json"
+    want=$(mktemp)
+    cp "$out" "$want"
+    MSA_SCALE=1 MSA_SEED=42 timeout 900 cargo run --offline --release -q -p msa-bench --bin "$1" > /dev/null
+    if ! cmp -s "$want" "$out"; then
+        echo "error: bench $1 no longer writes $out byte for byte:" >&2
+        diff "$want" "$out" | head -20 >&2 || true
+        cp "$want" "$out"
+        rm -f "$want"
+        exit 1
+    fi
+    rm -f "$want"
+}
+
 echo "==> guard: no build artifacts committed"
 if git ls-files | grep -q '^target/'; then
     echo "error: build artifacts are tracked under target/;" \
@@ -134,6 +153,11 @@ if [ ! -s results/BENCH_recovery_latency.json ]; then
     echo "error: results/BENCH_recovery_latency.json missing or empty" >&2
     exit 1
 fi
+echo "--> recovery-latency bench reproduces its committed file (full scale)"
+# The file holds only counts (records replayed, restarts), so a
+# full-scale run must rewrite it byte for byte: a restart that replays a
+# different distance fails here.
+reproduces_bench recovery_latency
 
 echo "==> degraded-accuracy bench (reduced scale)"
 # Width-vs-error soundness and two-run interval determinism are
@@ -145,6 +169,9 @@ if [ ! -s results/BENCH_degraded_accuracy.json ]; then
     echo "error: results/BENCH_degraded_accuracy.json missing or empty" >&2
     exit 1
 fi
+echo "--> degraded-accuracy bench reproduces its committed file (full scale)"
+# Counts only (interval bounds, widths, losses): byte for byte as well.
+reproduces_bench degraded_accuracy
 
 echo "==> durability drill (reduced matrix)"
 # {bit-flip, truncation} x {head snapshot, chain link below the head},

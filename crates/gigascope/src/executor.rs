@@ -29,6 +29,7 @@ use crate::store::{ChainHead, StoreHandle};
 use crate::table::{AggState, Entry, LftaTable, Probe, TableStats};
 use crate::CostParams;
 use msa_stream::hash::mix64;
+use msa_stream::store::StoreError;
 use msa_stream::{
     AttrSet, Filter, GroupKey, KeyProjection, Record, RecordChunk, PROCESSING_WINDOW_SIZE,
 };
@@ -611,8 +612,8 @@ impl Executor {
         ex
     }
 
-    /// The attached checkpoint store, if any (shard drivers clone this
-    /// so restarts recover from durable generations).
+    /// The attached checkpoint store, if any: where a restart reads
+    /// first ([`Executor::restart`]).
     pub fn store_handle(&self) -> Option<StoreHandle> {
         self.store.clone()
     }
@@ -686,36 +687,35 @@ impl Executor {
         }
     }
 
-    /// Takes a boundary checkpoint: marks the boundary and commits it to
-    /// the attached store, which reads the finished results in place.
+    /// Takes a boundary checkpoint, the only place one is taken: marks
+    /// the boundary and commits it to the attached store, which reads
+    /// the finished results in place. A no-op on an executor that does
+    /// not checkpoint. The caller guarantees alignment: every caller
+    /// runs at an epoch boundary.
+    ///
     /// A store failure degrades (never panics) past the retry budget:
-    /// the run continues on in-memory artifacts and recovery falls back
-    /// to the last good generation with the gap accounted as
-    /// stale-fallback loss.
-    fn checkpoint(&mut self) {
+    /// it latches [`Executor::store_degraded`], the run continues on the
+    /// boundary mark, and a restart reads the last good generation with
+    /// the uncovered gap accounted as stale-fallback loss. The failure
+    /// is also returned, for the hot swap, whose transaction must roll
+    /// back when its handoff cannot be made durable.
+    pub(crate) fn checkpoint(&mut self) -> Result<(), StoreError> {
+        if !self.auto_snapshot {
+            return Ok(());
+        }
         let mark = self.mark();
+        let mut committed = Ok(());
         if let Some(store) = self.store.as_ref().filter(|_| !self.store_broken) {
             match store.commit(&mark.state, self.hfta.results(), self.store_head) {
                 Ok(head) => self.store_head = Some(head),
-                Err(_) => self.store_broken = true,
+                Err(error) => {
+                    self.store_broken = true;
+                    committed = Err(error);
+                }
             }
         }
         self.boundary = Some(Box::new(mark));
-    }
-
-    /// Persists the current boundary state to the attached store as the
-    /// durable commit of a hot-swap handoff. Unlike the run-time hooks
-    /// this *surfaces* the failure instead of latching degraded: the
-    /// swap transaction must roll back when its commit cannot be made
-    /// durable. A no-op `Ok` without a store.
-    pub(crate) fn commit_handoff(&mut self) -> Result<(), msa_stream::store::StoreError> {
-        let Some(store) = self.store.clone() else {
-            return Ok(());
-        };
-        let mark = self.mark();
-        self.store_head = Some(store.commit(&mark.state, self.hfta.results(), self.store_head)?);
-        self.boundary = Some(Box::new(mark));
-        Ok(())
+        committed
     }
 
     /// Routes entries leaving node `i` — one evicted entry at ingest,
@@ -818,7 +818,7 @@ impl Executor {
         // an epoch boundary by construction, so a crash ahead of the
         // first real boundary still has something to recover from.
         if self.auto_snapshot && self.boundary.is_none() {
-            self.checkpoint();
+            let _ = self.checkpoint();
         }
         // Crash fuse: dies before processing record `at_record`.
         if let Some(n) = self.crash.at_record {
@@ -927,7 +927,7 @@ impl Executor {
                 return;
             }
             if self.auto_snapshot && self.boundary.is_none() {
-                self.checkpoint();
+                let _ = self.checkpoint();
             }
             // Crash fuse first, then epoch flushes: the scalar path
             // checks `at_record` *before* closing epochs.
@@ -1199,9 +1199,7 @@ impl Executor {
                 self.report.bound_breached = true;
             }
         }
-        if self.auto_snapshot {
-            self.checkpoint();
-        }
+        let _ = self.checkpoint();
     }
 
     fn fingerprint(&self) -> u64 {
@@ -1275,12 +1273,56 @@ impl Executor {
         Some(snap)
     }
 
-    /// The last boundary checkpoint's epoch and record high-water mark,
-    /// read from the mark without building the checkpoint.
+    /// The epoch and record high-water mark a restart
+    /// ([`Executor::restart`]) resumes from, read without building the
+    /// checkpoint: the last successful commit's when a store is
+    /// attached, else the boundary mark's. The supervisor prunes its
+    /// replay buffer at this position, so the buffer never lets go of a
+    /// record the restart would need.
     pub(crate) fn checkpoint_position(&self) -> Option<(u64, u64)> {
-        self.boundary
-            .as_deref()
-            .map(|m| (m.state.epoch, m.state.records_hwm))
+        match &self.store {
+            Some(_) => self.store_head.map(|h| (h.epoch, h.records_hwm)),
+            None => self
+                .boundary
+                .as_deref()
+                .map(|m| (m.state.epoch, m.state.records_hwm)),
+        }
+    }
+
+    /// Rebuilds this (typically dead) executor from its checkpoint as
+    /// `cfg` describes it: the only way anything restarts from one.
+    /// Returns the new executor, the record high-water mark the caller
+    /// replays the source from, and the candidates skipped to get there.
+    /// It reads from one place:
+    ///
+    /// * with a store attached, the store's newest usable generation
+    ///   ([`StoreHandle::recover_executor`]), the store re-attached;
+    /// * otherwise the boundary mark ([`Executor::latest_snapshot`]);
+    /// * when neither yields a usable checkpoint, a fresh build at record
+    ///   0 (with the store re-attached, so a genesis commit re-seeds it).
+    ///
+    /// [`Executor::checkpoint_position`] reports the position of that
+    /// same source.
+    pub(crate) fn restart(&self, cfg: &ExecutorConfig) -> (Executor, u64, u64) {
+        if let Some(store) = &self.store {
+            let recovery = store.recover_executor(cfg);
+            return match recovery.executor {
+                Some(ex) => (ex, recovery.records_hwm, recovery.fallbacks),
+                None => (cfg.build().with_store(store.clone()), 0, recovery.fallbacks),
+            };
+        }
+        match self.latest_snapshot() {
+            Some(snap) => {
+                let hwm = snap.records_hwm;
+                match cfg.build().recover(snap) {
+                    Ok(ex) => (ex, hwm, 0),
+                    // A mark `cfg` refuses is a skipped candidate, as a
+                    // generation the store refuses is.
+                    Err(_) => (cfg.build(), 0, 1),
+                }
+            }
+            None => (cfg.build(), 0, 0),
+        }
     }
 
     /// True once a crash fuse has fired; the executor is then inert.
@@ -1433,7 +1475,7 @@ impl Executor {
         }
         self.install(snapshot);
         self.auto_snapshot = true;
-        self.boundary = Some(Box::new(self.mark()));
+        let _ = self.checkpoint();
         self.crashed = false;
         Ok(self)
     }
@@ -1540,19 +1582,6 @@ impl Executor {
         &self.hfta
     }
 
-    /// Swap hook: re-captures the boundary checkpoint so counters bumped
-    /// *at* the boundary (the swap ledger) reach the durable artifacts a
-    /// crash would recover from. A no-op unless checkpoints are enabled
-    /// and the executor sits exactly at a boundary.
-    pub(crate) fn refresh_boundary_checkpoint(&mut self) {
-        if self.auto_snapshot
-            && self.tables.iter().all(|t| t.occupied() == 0)
-            && self.hfta.in_flight() == 0
-        {
-            self.checkpoint();
-        }
-    }
-
     /// Transplants an epoch-boundary snapshot of an *old-plan* executor
     /// into this freshly built *new-plan* executor — the state handoff
     /// of a hot-swap transaction.
@@ -1578,19 +1607,17 @@ impl Executor {
     /// Per-table collision statistics deliberately start fresh: the new
     /// plan's tables are different tables, and the drift detector must
     /// observe them from a clean window.
+    ///
+    /// Adoption takes no checkpoint and writes nothing to an attached
+    /// store, so a rollback leaves the store as the old plan left it.
+    /// The swap's commit phase checkpoints the adopted state under the
+    /// new plan's fingerprint.
     pub(crate) fn adopt_boundary_state(mut self, snapshot: Snapshot) -> Executor {
         debug_assert!(
             self.report.records == 0,
             "adopting executors must be freshly built"
         );
         self.install(snapshot);
-        if self.auto_snapshot {
-            // Re-anchor the checkpoint under the new plan's
-            // fingerprint: a crash right after the commit must recover
-            // into the new plan, not find an orphaned old-plan
-            // checkpoint.
-            self.boundary = Some(Box::new(self.mark()));
-        }
         self
     }
 }

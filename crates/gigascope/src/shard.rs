@@ -30,7 +30,6 @@ use crate::faults::{CrashPlan, ShardFault};
 use crate::guard::DegradationPolicy;
 use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
-use crate::snapshot::{RecoveryError, Snapshot};
 use crate::store::StoreHandle;
 use crate::supervise::{ShardDriver, ShardHealth, ShardHeartbeat, ShardState, SupervisorPolicy};
 use crate::swap::{
@@ -159,7 +158,9 @@ impl ShardedExecutor {
             n: shards,
             retired: Vec::new(),
         };
-        sharded.rebuild();
+        sharded.shards = (0..shards)
+            .map(|k| sharded.build_shard(&sharded.config.plan, k))
+            .collect();
         Ok(sharded)
     }
 
@@ -201,41 +202,41 @@ impl ShardedExecutor {
         cfg
     }
 
-    /// (Re)builds every shard executor from the current configuration.
-    /// The constructor and the per-shard verbs call this; any processed
-    /// state is discarded, exactly as reconfiguring a serial executor
-    /// mid-stream would be a new run.
-    fn rebuild(&mut self) {
-        self.shards = (0..self.n)
-            .map(|k| {
-                let ex = self.shard_config(k).build();
-                match self.stores.get(k) {
-                    Some(store) => ex.with_store(store.clone()),
-                    None => ex,
-                }
-            })
-            .collect();
-        self.health = vec![ShardHealth::default(); self.n];
+    /// A fresh shard `k` executor over the serial plan `plan`: its
+    /// recipe built, its store attached. The constructor, the per-shard
+    /// verbs and the hot swap's new-plan shards all build through this;
+    /// a verb rebuilds only the shards whose recipe it changed,
+    /// discarding their processed state, exactly as reconfiguring a
+    /// serial executor mid-stream would be a new run.
+    fn build_shard(&self, plan: &PhysicalPlan, k: usize) -> Executor {
+        let ex = self.shard_config_for(plan, k).build();
+        match self.stores.get(k) {
+            Some(store) => ex.with_store(store.clone()),
+            None => ex,
+        }
     }
 
     /// Attaches one durable [`StoreHandle`] per shard (by index) and
     /// enables durability deployment-wide: shard `k` checkpoints into
-    /// `stores[k]`, supervised restarts recover from it with
-    /// generation fallback, and hot-swaps commit their handoff through
-    /// it. Extra handles beyond the shard count are ignored; with fewer
-    /// handles the tail shards keep in-memory durability only.
+    /// `stores[k]`, restarts read it first with generation fallback,
+    /// and hot-swaps commit their handoff through it. Extra handles
+    /// beyond the shard count are ignored; with fewer handles the tail
+    /// shards keep in-memory durability only. Rebuilds every shard.
     pub fn with_stores(mut self, stores: Vec<StoreHandle>) -> ShardedExecutor {
         self.config.durable = true;
         self.stores = stores;
-        self.rebuild();
+        self.shards = (0..self.n)
+            .map(|k| self.build_shard(&self.config.plan, k))
+            .collect();
         self
     }
 
     /// Arms crash fuses on shard `k` only (fuse counters are
     /// shard-local: they count the shard's own records and offers).
+    /// Rebuilds shard `k` only.
     pub fn with_crash(mut self, k: usize, crash: CrashPlan) -> ShardedExecutor {
         self.crashes[k] = crash;
-        self.rebuild();
+        self.shards[k] = self.build_shard(&self.config.plan, k);
         self
     }
 
@@ -243,18 +244,20 @@ impl ShardedExecutor {
     /// or stall the shard supervisor must absorb (restart, quarantine
     /// or explicit degradation) without aborting the deployment. Fuse
     /// indices are shard-local and count the whole partition across
-    /// `run` calls, like crash fuses.
+    /// `run` calls, like crash fuses. Rebuilds shard `k` only (an armed
+    /// fault makes it durable).
     pub fn with_shard_fault(mut self, k: usize, fault: ShardFault) -> ShardedExecutor {
         self.shard_faults[k] = fault;
-        self.rebuild();
+        self.shards[k] = self.build_shard(&self.config.plan, k);
         self
     }
 
     /// Overrides the supervision policy (stuck deadline, poison
-    /// threshold, replay-buffer bound) for every shard.
+    /// threshold, replay-buffer bound) for every shard. The policy
+    /// belongs to the supervision loop, not the executors: no shard is
+    /// rebuilt.
     pub fn with_supervision(mut self, policy: SupervisorPolicy) -> ShardedExecutor {
         self.policy = policy;
-        self.rebuild();
         self
     }
 
@@ -419,31 +422,19 @@ impl ShardedExecutor {
         stats
     }
 
-    /// Shard `k`'s last boundary checkpoint, built on demand (see
-    /// [`Executor::latest_snapshot`]).
-    pub fn latest_snapshot(&self, k: usize) -> Option<Snapshot> {
-        self.shards[k].latest_snapshot()
-    }
-
-    /// Recovers crashed shard `k` from its boundary checkpoint and
-    /// re-feeds it the tail of its partition of `records` (the full
-    /// stream the deployment was running when the shard died), from
-    /// the snapshot's record high-water mark. The recovered shard is
-    /// then bit-identical to one that never crashed — the replay rule
-    /// of [`Executor::recover`], applied per shard.
-    pub fn recover_shard(
-        &mut self,
-        k: usize,
-        snapshot: Snapshot,
-        records: &[Record],
-    ) -> Result<(), RecoveryError> {
-        let resume_at = snapshot.records_hwm;
+    /// Recovers crashed shard `k` from its checkpoint
+    /// ([`Executor::restart`]: its store's newest usable generation when
+    /// one is attached, else its boundary mark, else a fresh build) with
+    /// its crash fuses disarmed, and re-feeds it the tail of its
+    /// partition of `records` (the full stream the deployment was
+    /// running when the shard died) from the recovered record
+    /// high-water mark. Returns the candidates the restart skipped: at 0
+    /// the recovered shard is bit-identical to one that never crashed —
+    /// the replay rule of [`Executor::recover`], applied per shard.
+    pub fn recover_shard(&mut self, k: usize, records: &[Record]) -> u64 {
         let mut cfg = self.shard_config(k);
         cfg.crash = CrashPlan::none();
-        let mut ex = cfg.build().recover(snapshot)?;
-        if let Some(store) = self.stores.get(k) {
-            ex = ex.with_store(store.clone());
-        }
+        let (mut ex, resume_at, fallbacks) = self.shards[k].restart(&cfg);
         let part: Vec<Record> = records
             .iter()
             .filter(|r| shard_of(self.config.seed, r, self.n) == k)
@@ -455,38 +446,7 @@ impl ShardedExecutor {
         ex.run(&part[resume_at..]);
         self.shards[k] = ex;
         self.crashes[k] = CrashPlan::none();
-        Ok(())
-    }
-
-    /// Recovers crashed shard `k` from its attached durable store —
-    /// the newest readable generation, falling back past (and
-    /// quarantining) corrupt ones — then re-feeds the tail of its
-    /// partition of `records` from the recovered high-water mark. When
-    /// no generation is readable the shard restarts fresh and replays
-    /// its whole partition. Returns the number of generation fallbacks
-    /// taken (0 = recovered bit-identically from the newest
-    /// checkpoint), or `None` when shard `k` has no store attached.
-    pub fn recover_shard_from_store(&mut self, k: usize, records: &[Record]) -> Option<u64> {
-        let store = self.stores.get(k)?.clone();
-        let mut cfg = self.shard_config(k);
-        cfg.crash = CrashPlan::none();
-        let recovery = store.recover_executor(&cfg);
-        let mut ex = match recovery.executor {
-            Some(ex) => ex,
-            None => cfg.build().with_store(store),
-        };
-        let part: Vec<Record> = records
-            .iter()
-            .filter(|r| shard_of(self.config.seed, r, self.n) == k)
-            .copied()
-            .collect();
-        let resume_at = usize::try_from(recovery.records_hwm)
-            .unwrap_or(part.len())
-            .min(part.len());
-        ex.run(&part[resume_at..]);
-        self.shards[k] = ex;
-        self.crashes[k] = CrashPlan::none();
-        Some(recovery.fallbacks)
+        fallbacks
     }
 
     /// The serial plan currently installed (each shard instantiates its
@@ -610,19 +570,14 @@ impl ShardedExecutor {
         }
         // Phase 3: build new-plan shards and transplant the boundary
         // state. The old shards are not touched — rollback is a drop.
+        // The store rides along *before* adoption so the commit phase
+        // can persist the handoff — but adoption itself never writes to
+        // it: a rollback must leave the store exactly as the old plan
+        // left it.
         let old_queries = self.queries();
         let mut new_shards = Vec::with_capacity(self.n);
         for (k, snap) in snaps.into_iter().enumerate() {
-            let cfg = self.shard_config_for(&new_plan, k);
-            let mut ex = cfg.build();
-            if let Some(store) = self.stores.get(k) {
-                // The store rides along *before* adoption so the commit
-                // phase can persist the handoff — but adoption itself
-                // never writes to it: a rollback must leave the store
-                // exactly as the old plan left it.
-                ex = ex.with_store(store.clone());
-            }
-            new_shards.push(ex.adopt_boundary_state(snap));
+            new_shards.push(self.build_shard(&new_plan, k).adopt_boundary_state(snap));
         }
         // Phase 3b: handoff validation — the conservation checks.
         let verdict = if fault.fail_validation {
@@ -641,13 +596,7 @@ impl ShardedExecutor {
         };
         if let Err(violation) = verdict {
             drop(new_shards);
-            if let Some(ex) = self.shards.first_mut() {
-                ex.note_replan_rolled_back();
-                ex.refresh_boundary_checkpoint();
-            }
-            for hb in &self.heartbeats {
-                hb.publish(ShardState::Healthy);
-            }
+            self.note_rolled_back();
             let reason = if fault.fail_validation {
                 RollbackReason::Injected
             } else {
@@ -671,33 +620,22 @@ impl ShardedExecutor {
         if let Some(ex) = new_shards.first_mut() {
             ex.note_replan_committed();
         }
-        // Durable commit: each store-backed shard persists its adopted
-        // boundary state as a new generation, whose rename is the
+        // Durable commit: each shard checkpoints its adopted boundary
+        // state under the new plan's fingerprint, and a store-backed
+        // shard persists it as a new generation, whose rename is the
         // swap's real commit point on disk. A refusal rolls the whole
         // transaction back with the old deployment untouched (a shard
         // whose store already committed merely carries an
         // uncommitted-plan generation that recovery will quarantine and
         // fall back past — never torn state).
-        for k in 0..new_shards.len() {
-            if let Err(error) = new_shards[k].commit_handoff() {
-                drop(new_shards);
-                if let Some(ex) = self.shards.first_mut() {
-                    ex.note_replan_rolled_back();
-                    ex.refresh_boundary_checkpoint();
-                }
-                for hb in &self.heartbeats {
-                    hb.publish(ShardState::Healthy);
-                }
-                return Err(SwapError::DurableCommit { shard: k, error });
-            }
-        }
-        if let Some(ex) = new_shards.first_mut() {
-            // Store-backed shards just checkpointed inside
-            // `commit_handoff`; only the in-memory path still needs its
-            // boundary refresh.
-            if ex.store_handle().is_none() {
-                ex.refresh_boundary_checkpoint();
-            }
+        let refused = new_shards
+            .iter_mut()
+            .enumerate()
+            .find_map(|(k, ex)| ex.checkpoint().err().map(|error| (k, error)));
+        if let Some((shard, error)) = refused {
+            drop(new_shards);
+            self.note_rolled_back();
+            return Err(SwapError::DurableCommit { shard, error });
         }
         let new_queries: Vec<AttrSet> = new_shards
             .first()
@@ -712,7 +650,7 @@ impl ShardedExecutor {
         self.shards = new_shards;
         self.config.plan = new_plan;
         if fault.crash == Some(SwapCrashPoint::AfterCommit) {
-            self.recover_all_from_checkpoints()?;
+            self.recover_all_from_checkpoints(epoch)?;
             for hb in &self.heartbeats {
                 hb.publish(ShardState::Healthy);
             }
@@ -730,38 +668,46 @@ impl ShardedExecutor {
         })
     }
 
-    /// Rebuilds every shard from its last boundary checkpoint — the only
-    /// state a real crash leaves — with its crash fuses disarmed and its
-    /// store re-attached.
-    fn recover_all_from_checkpoints(&mut self) -> Result<(), SwapError> {
-        for k in 0..self.n {
-            let snap = self.shards[k]
-                .latest_snapshot()
-                .ok_or(SwapError::StaleCheckpoint { shard: k })?;
+    /// Restarts every shard from its checkpoint ([`Executor::restart`]),
+    /// the only state a real crash leaves, with its crash fuses
+    /// disarmed. Refuses with [`SwapError::StaleCheckpoint`], the
+    /// deployment left as it was, when a restart would land below the
+    /// quiesce boundary at `epoch`.
+    fn recover_all_from_checkpoints(&mut self, epoch: u64) -> Result<(), SwapError> {
+        let mut restarted = Vec::with_capacity(self.n);
+        for (k, dead) in self.shards.iter().enumerate() {
             let mut cfg = self.shard_config(k);
             cfg.crash = CrashPlan::none();
-            self.crashes[k] = CrashPlan::none();
-            let mut ex = cfg.build().recover(snap)?;
-            if let Some(store) = self.stores.get(k) {
-                ex = ex.with_store(store.clone());
+            let (ex, hwm, _) = dead.restart(&cfg);
+            if ex.current_epoch() < epoch || hwm < dead.report().records {
+                return Err(SwapError::StaleCheckpoint { shard: k });
             }
-            self.shards[k] = ex;
+            restarted.push(ex);
         }
+        self.shards = restarted;
+        self.crashes = vec![CrashPlan::none(); self.n];
         Ok(())
+    }
+
+    /// Ticks a rolled-back swap on shard 0 and checkpoints it, so the
+    /// ledger reaches what a crash would restart from, then closes the
+    /// swap window on the supervision pulse.
+    fn note_rolled_back(&mut self) {
+        if let Some(ex) = self.shards.first_mut() {
+            ex.note_replan_rolled_back();
+            let _ = ex.checkpoint();
+        }
+        for hb in &self.heartbeats {
+            hb.publish(ShardState::Healthy);
+        }
     }
 
     /// Completes a pre-commit crash drill: rebuilds every shard from
     /// the old plan's boundary checkpoint and ticks the rollback
     /// counter.
     fn recover_old_after_crash(&mut self, epoch: u64) -> Result<SwapReport, SwapError> {
-        self.recover_all_from_checkpoints()?;
-        if let Some(ex) = self.shards.first_mut() {
-            ex.note_replan_rolled_back();
-            ex.refresh_boundary_checkpoint();
-        }
-        for hb in &self.heartbeats {
-            hb.publish(ShardState::Healthy);
-        }
+        self.recover_all_from_checkpoints(epoch)?;
+        self.note_rolled_back();
         Ok(SwapReport {
             epoch,
             outcome: SwapOutcome::RolledBackAfterCrash,

@@ -137,11 +137,15 @@ pub struct ScrubReport {
 
 /// A generation an executor may chain its next commit onto — the one
 /// its last successful commit wrote, or the one it was recovered from —
-/// and the cumulative finished-result count both sides agree it holds.
+/// the cumulative finished-result count both sides agree it holds, and
+/// the boundary it holds: the position a restart from the store resumes
+/// at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ChainHead {
     pub(crate) generation: u64,
     pub(crate) results: u64,
+    pub(crate) epoch: u64,
+    pub(crate) records_hwm: u64,
 }
 
 /// What this process has verified (or written) about one generation.
@@ -315,6 +319,8 @@ impl CheckpointStore {
         Ok(ChainHead {
             generation: gen,
             results: count,
+            epoch: state.epoch,
+            records_hwm: state.records_hwm,
         })
     }
 
@@ -701,12 +707,13 @@ impl StoreHandle {
                     let head = ChainHead {
                         generation,
                         results: snapshot.hfta.results.len() as u64,
+                        epoch: snapshot.epoch,
+                        records_hwm: snapshot.records_hwm,
                     };
-                    let records_hwm = snapshot.records_hwm;
                     match cfg.build().recover(snapshot) {
                         Ok(ex) => {
                             return StoreRecovery {
-                                records_hwm,
+                                records_hwm: head.records_hwm,
                                 generation,
                                 executor: Some(ex.with_store_head(self.clone(), head)),
                                 fallbacks: self.stats().fallbacks - start_fallbacks,

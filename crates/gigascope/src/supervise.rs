@@ -14,13 +14,14 @@
 //!   abort; a panic that escaped a multi-record range is first pinned
 //!   to its record by replaying that range one record per chunk.
 //! * **restart from checkpoint** — a dead or stuck shard is rebuilt
-//!   from its last epoch-aligned snapshot ([`Executor::recover`]) and
-//!   its feed is replayed from a bounded replay buffer, so the resumed
-//!   run is bit-identical to a fault-free one whenever the buffer still
-//!   covers the checkpoint's record high-water mark. Replay is the only
-//!   source of open-epoch state: the snapshot holds nothing past its
-//!   boundary, so a buffer that cannot reach back loses whole records,
-//!   never parts of them.
+//!   from its last epoch-aligned checkpoint ([`Executor::restart`]:
+//!   its store's newest usable generation when one is attached, else
+//!   its boundary mark) and its feed is replayed from a bounded replay
+//!   buffer, so the resumed run is bit-identical to a fault-free one
+//!   whenever the buffer still covers the checkpoint's record
+//!   high-water mark. Replay is the only source of open-epoch state:
+//!   the snapshot holds nothing past its boundary, so a buffer that
+//!   cannot reach back loses whole records, never parts of them.
 //! * **poison quarantine** — a record that deterministically kills its
 //!   shard [`SupervisorPolicy::poison_threshold`] consecutive times is
 //!   quarantined into a typed [`PoisonRecord`] report and counted in
@@ -57,7 +58,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::executor::{Executor, ExecutorConfig};
 use crate::faults::ShardFault;
-use crate::store::StoreHandle;
 use msa_stream::{AttrSet, Record, RecordChunk};
 
 /// Supervision knobs. Everything is counted in shard-local records —
@@ -274,10 +274,6 @@ pub(crate) struct ShardDriver {
     fault: ShardFault,
     policy: SupervisorPolicy,
     heartbeat: std::sync::Arc<ShardHeartbeat>,
-    /// The shard's durable store, when one is attached: restarts then
-    /// recover from persisted generations (with fallback) instead of
-    /// the executor's in-memory checkpoint.
-    store: Option<StoreHandle>,
     queries: Vec<AttrSet>,
     /// Replay buffer: the chunks received, whole, in partition order.
     /// The front chunk starts at record `chunk_start`.
@@ -327,7 +323,6 @@ impl ShardDriver {
         install_quiet_hook();
         heartbeat.publish(ShardState::Healthy);
         let queries = cfg.plan.query_attrs();
-        let store = ex.store_handle();
         let seen = ex.report().records;
         let unreplayed_base = ex.report().records_unreplayed;
         ShardDriver {
@@ -337,7 +332,6 @@ impl ShardDriver {
             fault,
             policy,
             heartbeat,
-            store,
             queries,
             buf: VecDeque::new(),
             chunk_start: seen,
@@ -562,26 +556,21 @@ impl ShardDriver {
         self.restart();
     }
 
-    /// Rebuilds the shard from its latest epoch-aligned snapshot and
-    /// rewinds consumption to replay the tail from the buffer. Where the
-    /// buffer no longer reaches the checkpoint, the gap is absorbed as
-    /// explicit degradation instead of aborting.
+    /// Rebuilds the shard from its latest epoch-aligned checkpoint
+    /// ([`Executor::restart`]) and rewinds consumption to replay the
+    /// tail from the buffer. Where the buffer no longer reaches the
+    /// checkpoint, the gap is absorbed as explicit degradation instead
+    /// of aborting.
     fn restart(&mut self) {
         self.heartbeat.publish(ShardState::Restarting);
         self.health.restarts += 1;
-        let (mut ex, hwm, stale) = match &self.store {
-            Some(store) => self.restart_from_store(store.clone()),
-            None => {
-                let (ex, hwm) = self.restart_in_memory();
-                (ex, hwm, false)
-            }
-        };
+        let (mut ex, hwm, fallbacks) = self.ex.restart(&self.cfg);
         ex.note_restart();
         let resume = hwm.max(self.buf_start);
         let gap = self.buf_start.saturating_sub(hwm);
-        if stale {
-            // The gap exists because recovery had to fall back past an
-            // unreadable newer generation: the records are lost to
+        if fallbacks > 0 {
+            // The gap exists because the restart had to fall back past
+            // an unusable newer checkpoint: the records are lost to
             // staleness, not buffer overrun, and the bounds ledger
             // accounts them under the distinct stale-fallback class.
             ex.absorb_stale_loss(gap);
@@ -594,42 +583,10 @@ impl ShardDriver {
         self.heartbeat.publish(ShardState::Healthy);
     }
 
-    /// Store-first restart: recover from the newest readable durable
-    /// generation, degrading to older ones (quarantining corrupt
-    /// candidates) as [`StoreHandle::recover_executor`] dictates.
-    /// Returns `(executor, hwm, stale)` where `stale` reports whether
-    /// any fallback happened — it decides which loss class an
-    /// uncovered replay gap lands in.
-    fn restart_from_store(&self, store: StoreHandle) -> (Executor, u64, bool) {
-        let recovery = store.recover_executor(&self.cfg);
-        let stale = recovery.fallbacks > 0;
-        match recovery.executor {
-            Some(ex) => (ex, recovery.records_hwm, stale),
-            // Nothing durable was readable: start fresh with the store
-            // re-attached so a genesis checkpoint re-seeds durability.
-            None => (self.cfg.build().with_store(store), 0, stale),
-        }
-    }
-
-    /// In-memory restart from the dead executor's last checkpoint,
-    /// built on demand and moved into the new executor.
-    fn restart_in_memory(&self) -> (Executor, u64) {
-        let hwm = self.ex.checkpoint_position().map_or(0, |(_, hwm)| hwm);
-        match self.ex.latest_snapshot() {
-            Some(snap) => match self.cfg.build().recover(snap) {
-                Ok(ex) => (ex, hwm),
-                // A mismatched checkpoint never aborts a supervised
-                // shard: fall back to a fresh build and replay what the
-                // buffer still holds.
-                Err(_) => (self.cfg.build(), 0),
-            },
-            None => (self.cfg.build(), 0),
-        }
-    }
-
-    /// Advances the replay buffer's floor: nothing below the latest
-    /// checkpoint's high-water mark is ever replayed again, and the
-    /// processed prefix behind the consumption point is bounded by
+    /// Advances the replay buffer's floor: nothing below the high-water
+    /// mark a restart resumes from ([`Executor::checkpoint_position`])
+    /// is ever replayed again, and the processed prefix behind the
+    /// consumption point is bounded by
     /// [`SupervisorPolicy::replay_capacity`]. The floor is exact in
     /// records; only whole chunks below it leave the buffer.
     fn prune(&mut self) {

@@ -29,7 +29,7 @@
 //! recovery bit-identical to an uncrashed baseline.
 
 use crate::executor::Executor;
-use crate::snapshot::{RecoveryError, SnapshotError};
+use crate::snapshot::SnapshotError;
 use msa_stream::store::StoreError;
 use msa_stream::AttrSet;
 
@@ -186,13 +186,12 @@ pub enum SwapError {
     /// artifacts.
     CrashDrillNeedsDurability,
     /// A shard's durable checkpoint lags the quiesce boundary — a crash
-    /// there would lose committed work, so the drill refuses to run.
+    /// there would lose committed work, so the drill refuses to run, or
+    /// refuses to install a restart that landed below the boundary.
     StaleCheckpoint {
         /// The lagging shard.
         shard: usize,
     },
-    /// Crash recovery failed while completing the drill.
-    Recovery(RecoveryError),
     /// The handoff validated, but a store-backed shard could not make
     /// the new plan's boundary checkpoint durable. The transaction
     /// rolled back before its commit point — the old deployment keeps
@@ -230,7 +229,6 @@ impl std::fmt::Display for SwapError {
                 f,
                 "shard {shard}'s durable checkpoint lags the quiesce boundary"
             ),
-            SwapError::Recovery(e) => write!(f, "swap crash recovery failed: {e}"),
             SwapError::DurableCommit { shard, error } => write!(
                 f,
                 "shard {shard} could not make the swap durable (rolled back): {error}"
@@ -243,16 +241,9 @@ impl std::error::Error for SwapError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SwapError::Unaligned(e) => Some(e),
-            SwapError::Recovery(e) => Some(e),
             SwapError::DurableCommit { error, .. } => Some(error),
             _ => None,
         }
-    }
-}
-
-impl From<RecoveryError> for SwapError {
-    fn from(e: RecoveryError) -> SwapError {
-        SwapError::Recovery(e)
     }
 }
 

@@ -255,7 +255,8 @@ fn matrix_crashed_shards_recover_to_no_crash_run() {
                 // Every shard's checkpoint frames and round-trips.
                 for k in 0..n {
                     let snap = baseline
-                        .latest_snapshot(k)
+                        .shard(k)
+                        .latest_snapshot()
                         .expect("every shard checkpoints");
                     assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
                 }
@@ -279,11 +280,15 @@ fn matrix_crashed_shards_recover_to_no_crash_run() {
                         build_sharded(n, &faults, guard_on, true).with_crash(crash_shard, crash);
                     sx.run(&records);
                     assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
-                    let snapshot = sx
-                        .latest_snapshot(crash_shard)
-                        .expect("crash leaves a boundary checkpoint");
-                    sx.recover_shard(crash_shard, snapshot, &records)
-                        .expect("recovery succeeds");
+                    assert!(
+                        sx.shard(crash_shard).latest_snapshot().is_some(),
+                        "crash leaves a boundary checkpoint"
+                    );
+                    assert_eq!(
+                        sx.recover_shard(crash_shard, &records),
+                        0,
+                        "recovery succeeds"
+                    );
                     assert!(sx.crashed_shards().is_empty(), "{label}");
                     let (got_report, got_hfta) = sx.finish();
                     assert_eq!(got_report, want_report, "{label}: merged report");

@@ -406,13 +406,71 @@ fn corruption_sweep_truncations_and_bit_flips_yield_typed_errors() {
     }
 }
 
+/// A backend double whose every read returns the stored bytes with one
+/// byte flipped: each generation written through it rots on the way
+/// back, so recovery quarantines every one.
+#[derive(Debug)]
+struct RottingReads {
+    inner: SimBackend,
+}
+
+impl StorageBackend for RottingReads {
+    fn write_atomic(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.inner.write_atomic(path, bytes)
+    }
+
+    fn append(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.inner.append(path, bytes)
+    }
+
+    fn sync(&mut self, path: &str) -> Result<(), StoreError> {
+        self.inner.sync(path)
+    }
+
+    fn read(&mut self, path: &str) -> Result<Vec<u8>, StoreError> {
+        let mut bytes = self.inner.read(path)?;
+        let mid = bytes.len() / 2;
+        if let Some(byte) = bytes.get_mut(mid) {
+            *byte ^= 0x01;
+        }
+        Ok(bytes)
+    }
+
+    fn list(&mut self, dir: &str) -> Result<Vec<String>, StoreError> {
+        self.inner.list(dir)
+    }
+
+    fn remove(&mut self, path: &str) -> Result<(), StoreError> {
+        self.inner.remove(path)
+    }
+
+    fn truncate(&mut self, path: &str, len: usize) -> Result<(), StoreError> {
+        self.inner.truncate(path, len)
+    }
+
+    fn corrupt(&mut self, path: &str, index: usize) -> Result<(), StoreError> {
+        self.inner.corrupt(path, index)
+    }
+
+    fn power_cut(&mut self) {
+        self.inner.power_cut();
+    }
+}
+
 /// A supervised shard whose checkpoint has rotted does not die: the
 /// restart falls back to a fresh build plus whatever the replay buffer
-/// holds, and the loss is ledgered. Exercised here end-to-end through
-/// the decode path the sweep above covers byte-by-byte.
+/// holds, and the loss is ledgered. Two cells:
+///
+/// * a transient panic with no store: the restart reads the boundary
+///   mark and the run accounts for every record;
+/// * a store whose every read rots: the restart quarantines every
+///   generation and falls back to a fresh build at record 0. The replay
+///   buffer was pruned at the last commit, so the records below it are
+///   lost to the stale fallback, and the guaranteed interval still
+///   holds the true count.
 #[test]
 fn recovery_refuses_mismatched_artifacts_never_panics_supervised() {
-    use msa_core::{ShardFault, ShardedExecutor, SupervisorPolicy};
+    use msa_core::{BoundsReport, ShardFault, ShardedExecutor, SupervisorPolicy};
     let records = stream(31);
     // Arm a transient panic with a replay buffer big enough to cover
     // the whole partition: even if every checkpoint were refused, the
@@ -426,6 +484,38 @@ fn recovery_refuses_mismatched_artifacts_never_panics_supervised() {
     assert_eq!(sx.shard_health(1).restarts, 1);
     let (report, _) = sx.finish();
     assert_eq!(report.records, records.len() as u64);
+
+    // Shard 1's store rots every generation it hands back.
+    let rotten = StoreHandle::new(
+        CheckpointStore::open(Box::new(RottingReads {
+            inner: SimBackend::new(),
+        }))
+        .unwrap(),
+    );
+    let mut sx = ShardedExecutor::new(config(31), 2)
+        .unwrap()
+        .with_stores(vec![StoreHandle::in_memory().unwrap(), rotten.clone()])
+        .with_shard_fault(1, ShardFault::panic_at(2_500))
+        .with_supervision(SupervisorPolicy::default().with_replay_capacity(u64::MAX));
+    sx.run(&records);
+    assert_eq!(sx.shard_health(1).restarts, 1);
+    let stats = rotten.stats();
+    assert!(stats.generations_quarantined >= 1, "{stats:?}");
+    assert!(stats.fallbacks >= 1, "{stats:?}");
+    let (report, hfta) = sx.finish();
+    assert!(report.records_stale_lost > 0, "{report:?}");
+    assert_eq!(report.records, records.len() as u64);
+    let truth = records.len() as u64;
+    let bounds = BoundsReport::at_finish(&report, &hfta);
+    for q in [s("A"), s("B")] {
+        let b = bounds.for_query(q).expect("query is bounded");
+        assert!(
+            b.lo() <= truth && truth <= b.hi(),
+            "{q}: [{}, {}] misses {truth}",
+            b.lo(),
+            b.hi()
+        );
+    }
 }
 
 /// The recovery driver's refusal path: a checkpoint taken under another
@@ -1097,7 +1187,12 @@ fn disk_kill_between_syscalls_sweep_is_crash_atomic() {
 /// A store-backed supervised restart: the panicked shard's driver
 /// recovers from its durable generations (not the in-process artifacts)
 /// and, with replay covering the gap, the merged output is
-/// bit-identical to the fault-free run — twice.
+/// bit-identical to the fault-free run — twice. A second cell breaks
+/// the store first: shard 1's third write, the commit that closes epoch
+/// 1, fails with ENOSPC, so the store stops at its second generation
+/// while the run goes on. The restart reads that generation, and the
+/// replay buffer, pruned at the last successful commit, still holds
+/// every record above it: nothing is lost.
 #[test]
 fn store_backed_supervised_restart_replays_bit_identically() {
     use msa_core::{ShardFault, SupervisorPolicy};
@@ -1114,22 +1209,20 @@ fn store_backed_supervised_restart_replays_bit_identically() {
         sx.run(&records);
         sx.finish()
     };
-    let run = || {
-        let stores = vec![
-            StoreHandle::in_memory().unwrap(),
-            StoreHandle::in_memory().unwrap(),
-        ];
+    let run = |shard_1_store: StoreHandle, panic_at: u64| {
+        let stores = vec![StoreHandle::in_memory().unwrap(), shard_1_store];
         let mut sx = ShardedExecutor::new(config(31), 2)
             .unwrap()
             .with_stores(stores)
-            .with_shard_fault(1, ShardFault::panic_at(40))
+            .with_shard_fault(1, ShardFault::panic_at(panic_at))
             .with_supervision(SupervisorPolicy::default().with_replay_capacity(u64::MAX));
         sx.run(&records);
         assert_eq!(sx.shard_health(1).restarts, 1);
         sx.finish()
     };
-    let (report_a, hfta_a) = run();
-    let (report_b, hfta_b) = run();
+    let healthy = || StoreHandle::in_memory().unwrap();
+    let (report_a, hfta_a) = run(healthy(), 40);
+    let (report_b, hfta_b) = run(healthy(), 40);
     assert_eq!(report_a, report_b, "two store-backed restarts diverged");
     assert_eq!(report_a.records, records.len() as u64);
     assert_eq!(
@@ -1141,6 +1234,30 @@ fn store_backed_supervised_restart_replays_bit_identically() {
         assert_eq!(hfta_a.totals(q), baseline.1.totals(q));
         assert_eq!(hfta_b.totals(q), baseline.1.totals(q));
     }
+
+    let broken = || {
+        let full = StorageFaultPlan {
+            fail_op: Some((2, StoreErrorKind::NoSpace)),
+            ..StorageFaultPlan::none()
+        };
+        StoreHandle::in_memory_with_faults(full).unwrap()
+    };
+    let (report_a, hfta_a) = run(broken(), 2_500);
+    let (report_b, hfta_b) = run(broken(), 2_500);
+    assert_eq!(report_a, report_b, "two broken-store restarts diverged");
+    assert_eq!(hfta_a.results(), hfta_b.results());
+    assert_eq!(
+        report_a.records_unreplayed, 0,
+        "the replay buffer must reach back to the last commit"
+    );
+    let mut scrubbed = report_a.clone();
+    scrubbed.shard_restarts = 0;
+    assert_eq!(scrubbed, baseline.0, "broken store: report vs fault-free");
+    assert_eq!(
+        hfta_a.results(),
+        baseline.1.results(),
+        "broken store: results vs fault-free"
+    );
 }
 
 /// A crashed shard recovers from its attached store — once from a
@@ -1172,9 +1289,11 @@ fn crashed_shard_recovers_from_its_store_with_and_without_rot() {
                     .with_backend(|b| b.corrupt(&CheckpointStore::generation_path(newest), 9))
                     .unwrap();
             }
-            let fallbacks = sx
-                .recover_shard_from_store(crash_shard, &records)
-                .expect("crashed shard has a store attached");
+            assert!(
+                sx.shard(crash_shard).store_handle().is_some(),
+                "crashed shard has a store attached"
+            );
+            let fallbacks = sx.recover_shard(crash_shard, &records);
             if rot {
                 assert!(fallbacks >= 1, "seed {seed}: rot must force a fallback");
             } else {
@@ -1334,14 +1453,18 @@ fn crashed_shard_recovers_to_match_serial_run() {
             sx.run(&records);
             assert_eq!(sx.crashed_shards(), vec![crash_shard], "seed {seed}");
             let snapshot = sx
-                .latest_snapshot(crash_shard)
+                .shard(crash_shard)
+                .latest_snapshot()
                 .expect("crashed shard has a boundary checkpoint");
             assert!(
                 snapshot.records_hwm < records.len() as u64,
                 "seed {seed}: crash landed mid-stream"
             );
-            sx.recover_shard(crash_shard, snapshot, &records)
-                .expect("shard recovery succeeds");
+            assert_eq!(
+                sx.recover_shard(crash_shard, &records),
+                0,
+                "shard recovery succeeds"
+            );
             let (report, hfta) = sx.finish();
             assert_eq!(report.records, records.len() as u64, "seed {seed}");
             assert_eq!(

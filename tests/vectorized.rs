@@ -262,7 +262,8 @@ fn sharded_chunked_matches_scalar_feed_across_matrix() {
                     let bounds = sx.bounds();
                     let snaps: Vec<Vec<u8>> = (0..n)
                         .map(|k| {
-                            sx.latest_snapshot(k)
+                            sx.shard(k)
+                                .latest_snapshot()
                                 .expect("every shard checkpoints")
                                 .encode()
                         })
@@ -314,7 +315,8 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
             baseline.run(&records);
             for k in 0..n {
                 let snap = baseline
-                    .latest_snapshot(k)
+                    .shard(k)
+                    .latest_snapshot()
                     .expect("every shard checkpoints");
                 assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
             }
@@ -352,11 +354,15 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                         assert_shard_matches(&format!("{label}/shard {k}"), got, want);
                     }
                 }
-                let got_snap = sx
-                    .latest_snapshot(crash_shard)
-                    .expect("crash leaves a boundary checkpoint");
-                sx.recover_shard(crash_shard, got_snap, &records)
-                    .expect("recovery succeeds");
+                assert!(
+                    sx.shard(crash_shard).latest_snapshot().is_some(),
+                    "crash leaves a boundary checkpoint"
+                );
+                assert_eq!(
+                    sx.recover_shard(crash_shard, &records),
+                    0,
+                    "recovery succeeds"
+                );
                 assert!(sx.crashed_shards().is_empty(), "{label}");
                 let (got_report, got_hfta) = sx.finish();
                 assert_eq!(got_report, want_report, "{label}: recovered report");
