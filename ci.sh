@@ -204,12 +204,27 @@ echo "==> perfbench smoke (every workload)"
 # it. A short run of each workload compiles it against the current store
 # and executor API and drives the shared eviction path; the durable one
 # also crashes, recovers and replays. Each exits non-zero on any oracle
-# mismatch, store failure or divergence.
+# mismatch, store failure or divergence. Each run's counted model cost
+# per record must equal results/perfbench_cost_per_rec.txt byte for
+# byte: it depends only on the plan and the data, so a change that
+# moves a GCSL plan cannot pass as a pure speed-up.
+costs=$(mktemp)
 for workload in trace collide wide durable; do
     echo "--> perfbench $workload"
+    run=$(mktemp)
     timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$run"
+    cat "$run"
+    grep '^metric cost_per_rec ' "$run" | sed "s/^/$workload /" >> "$costs"
+    rm -f "$run"
 done
+if ! cmp -s results/perfbench_cost_per_rec.txt "$costs"; then
+    echo "error: perfbench cost_per_rec differs from results/perfbench_cost_per_rec.txt:" >&2
+    diff results/perfbench_cost_per_rec.txt "$costs" >&2 || true
+    rm -f "$costs"
+    exit 1
+fi
+rm -f "$costs"
 # Traced once more: the run fails when the layer self times leave more
 # than 10% of the traced wall time unattributed, so the ledger keeps
 # covering the boundary commit and recovery path (durable) and the
