@@ -70,6 +70,14 @@ cargo run --offline --release -q -p msa-lint -- --list-rules | while read -r id 
     done
 done
 
+echo "==> guard: every rule has a row in DESIGN.md's rule table"
+cargo run --offline --release -q -p msa-lint -- --list-rules | while read -r id _; do
+    if ! grep -q "^| $id |" DESIGN.md; then
+        echo "error: rule $id has no '| $id |' row in DESIGN.md §9" >&2
+        exit 1
+    fi
+done
+
 echo "==> msa-lint: self-lint (the linter held to its own rules)"
 cargo run --offline --release -q -p msa-lint -- crates/lint/src/*.rs
 

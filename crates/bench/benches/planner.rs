@@ -1,8 +1,10 @@
 //! Planning-time benchmarks (§6.3.4: "the running time of GCSL in all
-//! configurations we tried was sub-millisecond").
+//! configurations we tried was sub-millisecond"), and the statistics
+//! bootstrap that produces the planner's inputs.
 
 use msa_bench::harness::bench;
 use msa_collision::LinearModel;
+use msa_gigascope::table::temporal_flow_lengths;
 use msa_optimizer::cost::{ClusterHandling, CostContext};
 use msa_optimizer::{greedy_collision, greedy_space, AllocStrategy, Configuration, FeedingGraph};
 use msa_stream::{AttrSet, DatasetStats};
@@ -82,5 +84,23 @@ fn main() {
             &ctx,
             100,
         ))
+    });
+
+    // The planner's inputs, as a GCSL set-up gathers them: group counts
+    // and consecutive-run flow lengths for every subset of ABCD, then
+    // bucket-level flow lengths, over the first 100k records of the
+    // paper trace.
+    let trace = msa_bench::paper_trace();
+    let prefix = trace.records.get(..100_000).unwrap_or(&trace.records);
+    let sets: Vec<AttrSet> = msa_stream::attr::subsets_of(s("ABCD")).collect();
+    println!("statistics_bootstrap");
+    bench("stats_compute_trace_100k", || {
+        black_box(msa_bench::stats_abcd(black_box(prefix)))
+    });
+    bench("temporal_flow_lengths_trace_100k", || {
+        black_box(temporal_flow_lengths(black_box(prefix), &sets, 2048, 0xF10))
+    });
+    bench("stats_bootstrap_trace_100k", || {
+        black_box(msa_bench::stats_abcd_temporal(black_box(prefix)))
     });
 }

@@ -6,7 +6,7 @@
 //! group is a **collision**: the occupant is evicted (to be combined
 //! downstream) and the new group takes the bucket with count 1.
 
-use msa_stream::{AttrSet, GroupKey};
+use msa_stream::{AttrSet, GroupKey, PrefixIndex};
 
 /// Partial aggregate state carried by one bucket entry.
 ///
@@ -346,25 +346,43 @@ pub fn measure_collision_rate<I: IntoIterator<Item = GroupKey>>(
 /// of concurrently active flows still revisit their own buckets without
 /// eviction, so the bucket-level run length approaches the true flow
 /// length while the record-level run length collapses towards 1.
+///
+/// The records are interned once over the union of `sets`
+/// ([`PrefixIndex`]). The tables then run one at a time: for each set,
+/// every interned key is projected and slotted once, and the records'
+/// key ids are fed through the set's table in record order. Each table
+/// therefore sees exactly the probe sequence a record-at-a-time pass
+/// over all tables would give it, while only one table needs to stay in
+/// cache.
 pub fn temporal_flow_lengths(
     records: &[msa_stream::Record],
     sets: &[AttrSet],
     buckets_per_table: usize,
     seed: u64,
 ) -> Vec<(AttrSet, f64)> {
-    let mut tables: Vec<LftaTable> = sets
-        .iter()
-        .map(|&s| LftaTable::new(s, buckets_per_table.max(1), seed ^ (s.bits() as u64) << 32))
-        .collect();
-    for r in records {
-        for t in &mut tables {
-            let key = r.project(t.attrs());
-            t.probe(key, AggState::unit());
-        }
-    }
-    tables
-        .into_iter()
-        .map(|t| (t.attrs(), t.stats().avg_run_length().max(1.0)))
+    let universe = sets.iter().fold(AttrSet::EMPTY, |u, &s| u.union(s));
+    let index = PrefixIndex::build(records, universe);
+    let mut slotted: Vec<(usize, GroupKey)> = Vec::new();
+    sets.iter()
+        .map(|&set| {
+            let mut table = LftaTable::new(
+                set,
+                buckets_per_table.max(1),
+                seed ^ u64::from(set.bits()) << 32,
+            );
+            slotted.clear();
+            slotted.extend(
+                index
+                    .projected_keys(set)
+                    .map(|key| (table.slot_of(&key), key)),
+            );
+            for &id in index.ids() {
+                if let Some(&(idx, key)) = slotted.get(id) {
+                    table.probe_at(idx, key, AggState::unit());
+                }
+            }
+            (set, table.stats().avg_run_length().max(1.0))
+        })
         .collect()
 }
 

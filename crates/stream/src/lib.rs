@@ -18,7 +18,8 @@
 //!   every real file write routes through, plus a deterministic
 //!   fault-injecting simulation backend for crash drills;
 //! * dataset statistics ([`stats`]): group counts and average flow lengths
-//!   per attribute set, the inputs of the paper's cost model.
+//!   per attribute set, the inputs of the paper's cost model, all read off
+//!   one interned pass over the records ([`PrefixIndex`]).
 
 #![deny(unsafe_code)]
 
@@ -45,7 +46,7 @@ pub use gen::{
 pub use hash::{FastHasher, FastState};
 pub use prng::SplitMix64;
 pub use record::{GroupKey, KeyProjection, Record, Schema};
-pub use stats::DatasetStats;
+pub use stats::{DatasetStats, PrefixIndex};
 pub use store::{
     atomic_write, DiskBackend, SimBackend, StorageBackend, StorageFaultPlan, StoreError,
     StoreErrorKind,

@@ -626,3 +626,194 @@ fn shard_totals_are_arrival_order_invariant() {
         }
     }
 }
+
+/// `DatasetStats::compute_for` as it was before the prefix index: one
+/// pass over the records per set, each with its own distinct-key set
+/// and run counter. Returns `(set, groups, flow length)` per set.
+fn reference_stats(records: &[Record], sets: &[AttrSet]) -> Vec<(AttrSet, usize, f64)> {
+    sets.iter()
+        .map(|&set| {
+            let mut distinct = msa_stream::hash::fast_set_with_capacity(1024);
+            let mut runs = 0usize;
+            let mut prev = None;
+            for r in records {
+                let key = r.project(set);
+                if prev != Some(key) {
+                    runs += 1;
+                    prev = Some(key);
+                }
+                distinct.insert(key);
+            }
+            let fl = if runs == 0 {
+                1.0
+            } else {
+                records.len() as f64 / runs as f64
+            };
+            (set, distinct.len(), fl)
+        })
+        .collect()
+}
+
+/// `temporal_flow_lengths` as it was before the prefix index: every
+/// table built up front, and each record probed into every table in
+/// turn.
+fn reference_flow_lengths(
+    records: &[Record],
+    sets: &[AttrSet],
+    buckets_per_table: usize,
+    seed: u64,
+) -> Vec<(AttrSet, f64)> {
+    use msa_gigascope::table::{AggState, LftaTable};
+    let mut tables: Vec<LftaTable> = sets
+        .iter()
+        .map(|&s| LftaTable::new(s, buckets_per_table.max(1), seed ^ (s.bits() as u64) << 32))
+        .collect();
+    for r in records {
+        for t in &mut tables {
+            let key = r.project(t.attrs());
+            t.probe(key, AggState::unit());
+        }
+    }
+    tables
+        .into_iter()
+        .map(|t| (t.attrs(), t.stats().avg_run_length().max(1.0)))
+        .collect()
+}
+
+/// Asserts `stats` holds the per-set reference's group counts exactly
+/// and its run flow lengths bit for bit.
+fn assert_stats_match(records: &[Record], sets: &[AttrSet], stats: &DatasetStats, cell: &str) {
+    for (set, groups, fl) in reference_stats(records, sets) {
+        assert_eq!(stats.groups(set), groups, "{cell}: groups of {set}");
+        assert_eq!(
+            stats.flow_length(set).to_bits(),
+            fl.to_bits(),
+            "{cell}: run flow length of {set}"
+        );
+    }
+}
+
+/// Asserts `temporal_flow_lengths` equals the record-major reference
+/// bit for bit, set by set and in order.
+fn assert_flow_lengths_match(
+    records: &[Record],
+    sets: &[AttrSet],
+    buckets: usize,
+    seed: u64,
+    cell: &str,
+) {
+    let bits = |v: Vec<(AttrSet, f64)>| -> Vec<(AttrSet, u64)> {
+        v.into_iter().map(|(s, l)| (s, l.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(msa_gigascope::table::temporal_flow_lengths(
+            records, sets, buckets, seed
+        )),
+        bits(reference_flow_lengths(records, sets, buckets, seed)),
+        "{cell}: temporal flow lengths, {buckets} buckets"
+    );
+}
+
+/// The five dataset shapes of the prefix-index battery, 5,000 records
+/// or more each: three with eight live attributes, and the packet
+/// trace, clustered and de-clustered, with four.
+fn statistics_datasets() -> [(&'static str, Vec<Record>); 5] {
+    use msa_stream::{
+        ClusteredStreamBuilder, PacketTraceBuilder, TraceProfile, UniformStreamBuilder,
+        ZipfStreamBuilder,
+    };
+    // The de-clustered trace has one record per flow, so it needs a
+    // larger profile than the trace to reach the same length.
+    let trace = |fraction| PacketTraceBuilder::new(TraceProfile::paper_scaled(fraction)).seed(11);
+    let datasets = [
+        (
+            "uniform",
+            UniformStreamBuilder::new(8, 300)
+                .records(5_000)
+                .seed(1)
+                .build()
+                .records,
+        ),
+        (
+            "clustered",
+            ClusteredStreamBuilder::new(8, 200)
+                .records(5_000)
+                .seed(2)
+                .build()
+                .records,
+        ),
+        (
+            "zipf",
+            ZipfStreamBuilder::new(8, 500, 1.2)
+                .records(5_000)
+                .seed(3)
+                .build()
+                .records,
+        ),
+        ("trace", trace(0.006).build().records),
+        ("declustered", trace(0.4).build_declustered().records),
+    ];
+    for (name, records) in &datasets {
+        assert!(records.len() >= 5_000, "{name}: {} records", records.len());
+    }
+    datasets
+}
+
+/// Runs the prefix-index battery over every dataset shape and prefix
+/// length for each universe: `DatasetStats::compute` against the
+/// per-set loops, and `temporal_flow_lengths` against the record-major
+/// tables at 1, 63, 64 and 2,048 buckets.
+fn assert_prefix_index_matrix(universes: &[AttrSet]) {
+    for (name, records) in &statistics_datasets() {
+        for len in [0usize, 1, 2, 3, 5_000] {
+            let prefix = &records[..len];
+            for &universe in universes {
+                let sets: Vec<AttrSet> = msa_stream::attr::subsets_of(universe).collect();
+                let cell = format!("{name}, {len} records, universe {universe}");
+                let stats = DatasetStats::compute(prefix, universe);
+                assert_eq!(stats.records(), len);
+                assert_eq!(stats.known_sets().count(), sets.len());
+                assert_stats_match(prefix, &sets, &stats, &cell);
+                for buckets in [1usize, 63, 64, 2048] {
+                    let seed = 0xF10 ^ (len as u64) << 8 ^ u64::from(universe.bits());
+                    assert_flow_lengths_match(prefix, &sets, buckets, seed, &cell);
+                }
+            }
+        }
+    }
+}
+
+/// The one-pass prefix index reproduces the per-set statistics loops
+/// and the record-major flow-length tables exactly, so plans built on
+/// them cannot move. This half covers the universes A, AC, BD and ABCD,
+/// and `compute_for` on arbitrary set lists.
+#[test]
+fn prefix_index_statistics_equal_the_per_set_passes() {
+    let universes = ["A", "AC", "BD", "ABCD"].map(|u| AttrSet::parse(u).unwrap());
+    assert_prefix_index_matrix(&universes);
+
+    // Arbitrary set lists: any attributes, duplicates and the empty set
+    // included, so the index's universe is whatever the list spans.
+    let datasets = statistics_datasets();
+    let mut rng = SplitMix64::new(0x57A7);
+    for case in 0..40 {
+        let (name, records) = &datasets[case % datasets.len()];
+        let len = [0usize, 1, 2, 3, 17, 5_000][rng.gen_index(6)];
+        let prefix = &records[..len];
+        let sets: Vec<AttrSet> = (0..1 + rng.gen_index(12))
+            .map(|_| AttrSet::from_bits(rng.gen_u32_below(256) as u16).unwrap())
+            .collect();
+        let cell = format!("{name}, {len} records, sets {sets:?}");
+        let stats = DatasetStats::compute_for(prefix, &sets);
+        assert_stats_match(prefix, &sets, &stats, &cell);
+        let buckets = 1 + rng.gen_index(300);
+        assert_flow_lengths_match(prefix, &sets, buckets, rng.next_u64(), &cell);
+    }
+}
+
+/// The same battery over the universe of all eight attributes, 255
+/// sets per cell: its own test, so it runs beside the other half.
+#[test]
+fn prefix_index_statistics_equal_the_per_set_passes_over_eight_attributes() {
+    assert_prefix_index_matrix(&[AttrSet::parse("ABCDEFGH").unwrap()]);
+}
