@@ -62,11 +62,10 @@ pub use msa_gigascope::{
     shard_of, shard_seed, BoundsReport, Burst, ChannelFaults, CheckpointStore, CostParams,
     CrashPlan, DegradationPolicy, DriftKind, DriftPlan, EvictionChannel, Executor, ExecutorConfig,
     FaultPlan, GuardLevel, GuardPolicy, GuardTransition, HandoffViolation, Hfta, LossBreakdown,
-    LossClass, OverloadGuard, PhysicalPlan, PoisonRecord, QueryBounds, RecoveredArtifacts,
-    RecoveryError, RollbackReason, RunReport, ScrubReport, ShardError, ShardFault, ShardHealth,
-    ShardHeartbeat, ShardState, ShardedExecutor, ShedDecision, Snapshot, SnapshotError,
-    StoreHandle, StoreRecovery, StoreStats, SupervisorPolicy, SwapCrashPoint, SwapError, SwapFault,
-    SwapOutcome, SwapReport,
+    LossClass, OverloadGuard, PhysicalPlan, PoisonRecord, QueryBounds, RecoveryError,
+    RollbackReason, RunReport, ScrubReport, ShardError, ShardFault, ShardHealth, ShardHeartbeat,
+    ShardState, ShardedExecutor, ShedDecision, Snapshot, SnapshotError, StoreHandle, StoreRecovery,
+    StoreStats, SupervisorPolicy, SwapCrashPoint, SwapError, SwapFault, SwapOutcome, SwapReport,
 };
 pub use msa_optimizer::{
     propose_replan, Algorithm, AllocStrategy, ClusterHandling, Configuration, Plan, Planner,

@@ -51,17 +51,6 @@ pub enum Delivery {
     Duplicated,
 }
 
-impl Delivery {
-    /// Number of copies the HFTA receives.
-    pub fn copies(self) -> u32 {
-        match self {
-            Delivery::Dropped => 0,
-            Delivery::Delivered => 1,
-            Delivery::Duplicated => 2,
-        }
-    }
-}
-
 /// Cumulative channel accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
@@ -106,35 +95,22 @@ impl ChannelStats {
     }
 }
 
-/// The complete serializable state of an [`EvictionChannel`].
-///
-/// Captured at checkpoint time and restored on recovery: the PRNG
-/// cursor makes every post-restore fault decision identical to the one
-/// the original channel would have taken, which is what lets a replayed
-/// run reproduce a faulty run bit-for-bit.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ChannelState {
-    /// Injected fault rates.
-    pub faults: ChannelFaults,
-    /// Per-epoch capacity bound (`None` = unbounded).
-    pub capacity: Option<u64>,
-    /// Offers accepted so far in the current epoch window.
-    pub epoch_sent: u64,
-    /// PRNG cursor (see [`SplitMix64::state`]).
-    pub rng_state: u64,
-    /// Cumulative accounting at capture time.
-    pub stats: ChannelStats,
-}
-
 /// The bounded, fault-injectable LFTA → HFTA hand-off.
-#[derive(Clone, Debug)]
+///
+/// A checkpoint carries the channel itself (see [`crate::snapshot`]),
+/// whose codec reads these fields: the PRNG cursor makes every fault
+/// decision after a restore identical to the one the original channel
+/// would have taken, which is what lets a replayed run reproduce a
+/// faulty run bit for bit.
+#[derive(Clone, Debug, PartialEq)]
 pub struct EvictionChannel {
-    faults: ChannelFaults,
+    pub(crate) faults: ChannelFaults,
     /// Max offers accepted per epoch (`None` = unbounded).
-    capacity: Option<u64>,
-    epoch_sent: u64,
-    rng: SplitMix64,
-    stats: ChannelStats,
+    pub(crate) capacity: Option<u64>,
+    /// Offers accepted so far in the current epoch window.
+    pub(crate) epoch_sent: u64,
+    pub(crate) rng: SplitMix64,
+    pub(crate) stats: ChannelStats,
 }
 
 impl EvictionChannel {
@@ -202,35 +178,6 @@ impl EvictionChannel {
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
     }
-
-    /// The injected fault rates.
-    pub fn faults(&self) -> ChannelFaults {
-        self.faults
-    }
-
-    /// Exports the channel's complete state for a checkpoint.
-    pub fn export_state(&self) -> ChannelState {
-        ChannelState {
-            faults: self.faults,
-            capacity: self.capacity,
-            epoch_sent: self.epoch_sent,
-            rng_state: self.rng.state(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a channel from an exported state. The restored channel's
-    /// future fault decisions are identical to those the exporting
-    /// channel would have made.
-    pub fn from_state(state: &ChannelState) -> EvictionChannel {
-        EvictionChannel {
-            faults: state.faults,
-            capacity: state.capacity,
-            epoch_sent: state.epoch_sent,
-            rng: SplitMix64::from_state(state.rng_state),
-            stats: state.stats,
-        }
-    }
 }
 
 impl Default for EvictionChannel {
@@ -283,26 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip_resumes_fault_stream_exactly() {
-        let faults = ChannelFaults {
-            loss_rate: 0.2,
-            duplicate_rate: 0.1,
-        };
-        let mut ch = EvictionChannel::new(faults, 3).with_capacity(400);
-        for _ in 0..500 {
-            ch.offer();
-        }
-        let mut resumed = EvictionChannel::from_state(&ch.export_state());
-        assert_eq!(resumed.export_state(), ch.export_state());
-        // The restored channel makes the same decisions the original
-        // would have made from here on.
-        let a: Vec<Delivery> = (0..1000).map(|_| ch.offer()).collect();
-        let b: Vec<Delivery> = (0..1000).map(|_| resumed.offer()).collect();
-        assert_eq!(a, b);
-        assert_eq!(ch.stats(), resumed.stats());
-    }
-
-    #[test]
     fn stats_merge_sums_and_commutes() {
         let a = ChannelStats {
             delivered: 10,
@@ -337,9 +264,6 @@ mod tests {
         ch.account_shutdown_loss(9);
         assert_eq!(ch.stats().shutdown_lost, 9);
         assert_eq!(ch.stats().dropped, 0, "not conflated with fault drops");
-        // The ledger survives a checkpoint round-trip.
-        let resumed = EvictionChannel::from_state(&ch.export_state());
-        assert_eq!(resumed.stats().shutdown_lost, 9);
     }
 
     #[test]

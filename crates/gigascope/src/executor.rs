@@ -629,11 +629,6 @@ impl Executor {
         self.guard.as_ref()
     }
 
-    /// Whether the guard has an unconsumed repair request.
-    pub fn repair_pending(&self) -> bool {
-        self.guard.as_ref().is_some_and(|g| g.repair_requested())
-    }
-
     /// Consumes a pending repair request (see
     /// [`OverloadGuard::take_repair_request`]).
     pub fn take_repair_request(&mut self) -> bool {
@@ -1223,8 +1218,8 @@ impl Executor {
             plan_fingerprint: self.fingerprint(),
             epoch: self.current_epoch,
             records_hwm: self.report.records,
-            channel: self.channel.export_state(),
-            guard: self.guard.as_ref().map(|g| g.export_state()),
+            channel: self.channel.clone(),
+            guard: self.guard.clone(),
             tables: self.tables.iter().map(|t| t.stats()).collect(),
             hfta: self.hfta.boundary_state(),
             report: self.report.clone(),
@@ -1481,10 +1476,11 @@ impl Executor {
     }
 
     /// Installs `snapshot`'s boundary state, all but the table
-    /// statistics, moving its finished results into a new HFTA.
+    /// statistics: its channel and guard move in, and its finished
+    /// results move into a new HFTA.
     fn install(&mut self, snapshot: Snapshot) {
-        self.channel = EvictionChannel::from_state(&snapshot.channel);
-        self.guard = snapshot.guard.as_ref().map(OverloadGuard::from_state);
+        self.channel = snapshot.channel;
+        self.guard = snapshot.guard;
         self.hfta = Hfta::restore(self.queries.clone(), snapshot.hfta);
         self.current_epoch = snapshot.epoch;
         self.report = snapshot.report;
@@ -2022,7 +2018,10 @@ mod tests {
         }
         .build();
         ex.run(&recs);
-        assert!(ex.repair_pending(), "ladder must reach the repair level");
+        assert!(
+            ex.guard().is_some_and(OverloadGuard::repair_requested),
+            "ladder must reach the repair level"
+        );
         let (report, hfta) = ex.finish();
         assert!(report.records_shed > 0, "shedding must engage");
         assert!(report.epochs_degraded > 0);

@@ -225,43 +225,28 @@ pub struct GuardTransition {
     pub observed_cost: f64,
 }
 
-/// The complete serializable state of an [`OverloadGuard`].
-///
-/// Captured at checkpoint time and restored on recovery, including the
-/// mid-epoch shed counter, so a recovered executor sheds exactly the
-/// records the original would have shed.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GuardState {
-    /// Policy in force.
-    pub policy: GuardPolicy,
-    /// Degradation level at capture.
-    pub level: GuardLevel,
-    /// Consecutive calm epochs observed at the current level.
-    pub calm_epochs: u64,
-    /// Round-robin shedding cursor.
-    pub shed_counter: u64,
-    /// Cost observed at the most recent epoch boundary.
-    pub last_cost: f64,
-    /// Whether an unconsumed repair request is pending.
-    pub repair_requested: bool,
-    /// Total loss mass accounted against the degradation budget.
-    pub records_lost: u64,
-    /// Whether the promised bound has been breached (latched).
-    pub bound_breached: bool,
-}
-
 /// The overload controller: observes per-epoch total cost, maintains
 /// the degradation level with hysteresis.
-#[derive(Clone, Debug)]
+///
+/// A checkpoint carries the guard itself (see [`crate::snapshot`]),
+/// whose codec reads these fields, the shed cursor included, so a
+/// recovered executor sheds exactly the records the original would have
+/// shed.
+#[derive(Clone, Debug, PartialEq)]
 pub struct OverloadGuard {
-    policy: GuardPolicy,
-    level: GuardLevel,
-    calm_epochs: u64,
-    shed_counter: u64,
-    last_cost: f64,
-    repair_requested: bool,
-    records_lost: u64,
-    bound_breached: bool,
+    pub(crate) policy: GuardPolicy,
+    pub(crate) level: GuardLevel,
+    /// Consecutive calm epochs observed at the current level.
+    pub(crate) calm_epochs: u64,
+    /// Round-robin shedding cursor.
+    pub(crate) shed_counter: u64,
+    /// Cost observed at the most recent epoch boundary.
+    pub(crate) last_cost: f64,
+    pub(crate) repair_requested: bool,
+    /// Total loss mass accounted against the degradation budget.
+    pub(crate) records_lost: u64,
+    /// Whether the promised bound has been breached (latched).
+    pub(crate) bound_breached: bool,
 }
 
 impl OverloadGuard {
@@ -277,11 +262,6 @@ impl OverloadGuard {
             records_lost: 0,
             bound_breached: false,
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &GuardPolicy {
-        &self.policy
     }
 
     /// Current degradation level.
@@ -357,12 +337,6 @@ impl OverloadGuard {
         }
     }
 
-    /// Whether the *next* record should be shed — `true` exactly when
-    /// [`OverloadGuard::shed_decision`] grants a [`ShedDecision::Shed`].
-    pub fn should_shed(&mut self) -> bool {
-        self.shed_decision() == ShedDecision::Shed
-    }
-
     /// Accounts `n` records of loss mass against the degradation
     /// budget: sheds the guard granted *and* losses it cannot control
     /// (channel drops/duplicates, poison quarantine, replay overruns,
@@ -404,34 +378,6 @@ impl OverloadGuard {
     /// Consumes a pending repair request; returns whether one was set.
     pub fn take_repair_request(&mut self) -> bool {
         std::mem::take(&mut self.repair_requested)
-    }
-
-    /// Exports the guard's complete state for a checkpoint.
-    pub fn export_state(&self) -> GuardState {
-        GuardState {
-            policy: self.policy,
-            level: self.level,
-            calm_epochs: self.calm_epochs,
-            shed_counter: self.shed_counter,
-            last_cost: self.last_cost,
-            repair_requested: self.repair_requested,
-            records_lost: self.records_lost,
-            bound_breached: self.bound_breached,
-        }
-    }
-
-    /// Rebuilds a guard from an exported state.
-    pub fn from_state(state: &GuardState) -> OverloadGuard {
-        OverloadGuard {
-            policy: state.policy,
-            level: state.level,
-            calm_epochs: state.calm_epochs,
-            shed_counter: state.shed_counter,
-            last_cost: state.last_cost,
-            repair_requested: state.repair_requested,
-            records_lost: state.records_lost,
-            bound_breached: state.bound_breached,
-        }
     }
 }
 
@@ -491,9 +437,11 @@ mod tests {
     fn shedding_keeps_one_in_shed_factor() {
         let mut g = OverloadGuard::new(GuardPolicy::new(100.0));
         // Level 0: nothing shed.
-        assert!(!g.should_shed());
+        assert_eq!(g.shed_decision(), ShedDecision::Process);
         g.observe_epoch(1, 200.0);
-        let shed: Vec<bool> = (0..8).map(|_| g.should_shed()).collect();
+        let shed: Vec<bool> = (0..8)
+            .map(|_| g.shed_decision() == ShedDecision::Shed)
+            .collect();
         assert_eq!(
             shed,
             [false, true, true, true, false, true, true, true],
@@ -512,25 +460,6 @@ mod tests {
         // Another breached epoch at Repair re-arms the request.
         g.observe_epoch(4, 10.0);
         assert!(g.repair_requested());
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_shedding_exactly() {
-        let mut g = OverloadGuard::new(GuardPolicy::new(100.0));
-        g.observe_epoch(1, 150.0);
-        for _ in 0..5 {
-            g.should_shed();
-        }
-        let mut restored = OverloadGuard::from_state(&g.export_state());
-        assert_eq!(restored.export_state(), g.export_state());
-        // Mid-cycle shed cursor resumes exactly.
-        let a: Vec<bool> = (0..12).map(|_| g.should_shed()).collect();
-        let b: Vec<bool> = (0..12).map(|_| restored.should_shed()).collect();
-        assert_eq!(a, b);
-        for level in 0..=3u8 {
-            assert_eq!(GuardLevel::from_index(level).unwrap().index(), level);
-        }
-        assert_eq!(GuardLevel::from_index(4), None);
     }
 
     #[test]
@@ -611,7 +540,7 @@ mod tests {
         }
         assert!(denied > 0, "drop slots are denied under a zero budget");
         for _ in 0..8 {
-            assert!(!g.should_shed(), "the boolean view agrees: no shedding");
+            assert_ne!(g.shed_decision(), ShedDecision::Shed, "no shedding");
         }
         assert_eq!(g.records_lost(), 0);
         assert!(!g.bound_breached());
@@ -624,22 +553,6 @@ mod tests {
         // Any uncontrolled loss is a breach under a zero budget.
         g.account_loss(1);
         assert!(g.bound_breached());
-    }
-
-    #[test]
-    fn degradation_state_roundtrips() {
-        let policy = GuardPolicy::new(100.0)
-            .with_degradation(DegradationPolicy::BoundedApprox { max_width: 3 });
-        let mut g = OverloadGuard::new(policy);
-        g.observe_epoch(1, 200.0);
-        g.account_loss(2);
-        let restored = OverloadGuard::from_state(&g.export_state());
-        assert_eq!(restored.export_state(), g.export_state());
-        assert_eq!(restored.records_lost(), 2);
-        g.account_loss(2);
-        assert!(g.bound_breached());
-        let restored = OverloadGuard::from_state(&g.export_state());
-        assert!(restored.bound_breached(), "the latch survives a roundtrip");
     }
 
     #[test]

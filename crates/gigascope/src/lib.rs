@@ -86,9 +86,7 @@ pub use hfta::Hfta;
 pub use plan::{PhysicalPlan, PlanNode};
 pub use shard::{shard_of, shard_seed, ShardError, ShardedExecutor};
 pub use snapshot::{RecoveryError, Snapshot, SnapshotError};
-pub use store::{
-    CheckpointStore, RecoveredArtifacts, ScrubReport, StoreHandle, StoreRecovery, StoreStats,
-};
+pub use store::{CheckpointStore, ScrubReport, StoreHandle, StoreRecovery, StoreStats};
 pub use supervise::{PoisonRecord, ShardHealth, ShardHeartbeat, ShardState, SupervisorPolicy};
 pub use swap::{
     HandoffViolation, RollbackReason, SwapCrashPoint, SwapError, SwapFault, SwapOutcome, SwapReport,

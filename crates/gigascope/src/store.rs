@@ -111,21 +111,6 @@ pub struct StoreStats {
     pub generations_removed: u64,
 }
 
-/// What [`CheckpointStore::recover_artifacts`] hands back: the newest
-/// usable chain stitched into one snapshot, ready for
-/// [`Executor::recover`](crate::executor::Executor::recover).
-#[derive(Clone, Debug)]
-pub struct RecoveredArtifacts {
-    /// The head's boundary state with every finished result of its
-    /// chain, each link checksum-verified.
-    pub snapshot: Snapshot,
-    /// Which generation (the chain's head) was recovered.
-    pub generation: u64,
-    /// Newer candidates skipped (their rotten generation quarantined)
-    /// to reach this one.
-    pub fallbacks: u64,
-}
-
 /// Result of the offline integrity scrub.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScrubReport {
@@ -394,7 +379,7 @@ impl CheckpointStore {
 
     /// Marks `generation` corrupt: recovery and scrub skip it, commits
     /// stop chaining onto it, and GC removes it. Idempotent.
-    pub fn quarantine(&mut self, generation: u64) {
+    fn quarantine(&mut self, generation: u64) {
         if !self.quarantined.contains(&generation) {
             self.quarantined.push(generation);
             self.stats.generations_quarantined += 1;
@@ -413,15 +398,15 @@ impl CheckpointStore {
         self.stats
     }
 
-    /// Loads the newest usable chain, stitched into one snapshot,
-    /// quarantining rotten links and falling back to older candidates.
-    /// `None` when no chain is usable (fresh start).
-    pub fn recover_artifacts(&mut self) -> Result<Option<RecoveredArtifacts>, StoreError> {
+    /// The recovery ladder's loading step: the newest usable chain and
+    /// its head generation, stitched into one snapshot, quarantining
+    /// rotten links and falling back to older candidates (each one a
+    /// counted fallback). `None` when no chain is usable (fresh start).
+    fn load_newest(&mut self) -> Result<Option<(u64, Snapshot)>, StoreError> {
         let candidates: Vec<u64> = self.on_disk.iter().rev().copied().collect();
         // Generations this pass already found chained through a rotten
         // link: skipped as candidates without re-reading them.
         let mut broken = BTreeSet::new();
-        let mut fallbacks = 0u64;
         for gen in candidates {
             if self.quarantined.contains(&gen) {
                 continue;
@@ -429,21 +414,14 @@ impl CheckpointStore {
             match self.load_chain(gen, &mut broken) {
                 Ok(snapshot) => {
                     self.push_head(gen);
-                    return Ok(Some(RecoveredArtifacts {
-                        snapshot,
-                        generation: gen,
-                        fallbacks,
-                    }));
+                    return Ok(Some((gen, snapshot)));
                 }
                 // A write that never landed: no commit was skipped.
                 Err(LoadFail::Absent) => {
                     self.on_disk.remove(&gen);
                 }
                 Err(LoadFail::Dead(e)) => return Err(e),
-                Err(LoadFail::Corrupt) => {
-                    self.stats.fallbacks += 1;
-                    fallbacks += 1;
-                }
+                Err(LoadFail::Corrupt) => self.stats.fallbacks += 1,
             }
         }
         Ok(None)
@@ -638,19 +616,9 @@ impl StoreHandle {
         self.lock().commit(state, results, parent)
     }
 
-    /// See [`CheckpointStore::recover_artifacts`].
-    pub fn recover_artifacts(&self) -> Result<Option<RecoveredArtifacts>, StoreError> {
-        self.lock().recover_artifacts()
-    }
-
     /// See [`CheckpointStore::scrub`].
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
         self.lock().scrub()
-    }
-
-    /// See [`CheckpointStore::quarantine`].
-    pub fn quarantine(&self, generation: u64) {
-        self.lock().quarantine(generation)
     }
 
     /// See [`CheckpointStore::stats`].
@@ -697,13 +665,9 @@ impl StoreHandle {
         loop {
             // Bind before matching: a guard living in the scrutinee
             // would still be held when the arms re-lock the handle.
-            let loaded = self.lock().recover_artifacts();
+            let loaded = self.lock().load_newest();
             match loaded {
-                Ok(Some(RecoveredArtifacts {
-                    snapshot,
-                    generation,
-                    ..
-                })) => {
+                Ok(Some((generation, snapshot))) => {
                     let head = ChainHead {
                         generation,
                         results: snapshot.hfta.results.len() as u64,
@@ -895,7 +859,10 @@ mod tests {
                 }),
                 "gen-{g}: link"
             );
-            assert!(bytes == snap.encode_link(link), "gen-{g}: bytes");
+            assert!(
+                bytes == snap.encode_generation(&snap.hfta.results, link),
+                "gen-{g}: bytes"
+            );
             parent = Some((g, snap));
         }
     }
@@ -916,8 +883,8 @@ mod tests {
         // The failed write claimed a number but left no file: recovery
         // and scrub in the same process skip it without a fallback or a
         // quarantine.
-        let got = store.recover_artifacts().unwrap().unwrap();
-        assert_eq!((got.generation, got.fallbacks), (h2.generation, 0));
+        let (got, _) = store.load_newest().unwrap().unwrap();
+        assert_eq!((got, store.stats().fallbacks), (h2.generation, 0));
         assert_eq!(store.scrub().unwrap().generations_checked, 2);
         assert_eq!(store.stats().generations_quarantined, 0);
         let h3 = commit(&mut store, &snaps[2], Some(h2)).unwrap();
@@ -933,10 +900,10 @@ mod tests {
         // The failed write's number is never reused.
         assert!(h3.generation > h2.generation + 1);
         store.rescan().unwrap();
-        let got = store.recover_artifacts().unwrap().unwrap();
-        assert_eq!(got.generation, h3.generation);
-        assert_eq!(got.fallbacks, 0);
-        assert_eq!(got.snapshot, snaps[2], "stitched chain");
+        let (got, stitched) = store.load_newest().unwrap().unwrap();
+        assert_eq!(got, h3.generation);
+        assert_eq!(store.stats().fallbacks, 0);
+        assert_eq!(stitched, snaps[2], "stitched chain");
     }
 
     #[test]

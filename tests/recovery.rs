@@ -648,19 +648,13 @@ fn on_demand_checkpoint_equals_the_eager_snapshot() {
                 "{label}: the checkpoint left behind is the last boundary's"
             );
             let (mut recovered, hwm) = if with_store {
-                // Decoded maps iterate in their own order, so the
-                // stitched chain compares as a value, not as bytes.
-                let stitched = handle.recover_artifacts().unwrap().unwrap().snapshot;
-                assert_eq!(
-                    Snapshot::decode(&last).unwrap(),
-                    stitched,
-                    "{label}: stitched chain"
-                );
                 let recovery = handle.recover_executor(&cfg(CrashPlan::none()));
                 let recovered = recovery.executor.expect("a readable chain");
+                // Decoded maps iterate in their own order, so the
+                // recovered chain compares as a value, not as bytes.
                 assert_eq!(
                     recovered.latest_snapshot(),
-                    Some(stitched),
+                    Some(Snapshot::decode(&last).unwrap()),
                     "{label}: recovered checkpoint"
                 );
                 (recovered, recovery.records_hwm)
@@ -1417,6 +1411,68 @@ fn hot_swap_durable_commit_failure_rolls_back_untouched() {
     let (report, _) = sx.finish();
     assert_eq!(report.records, records.len() as u64);
     assert_eq!(report.replans_committed, 1);
+}
+
+/// The hot swap's quiesce barrier refuses a deployment stopped
+/// mid-epoch with [`SwapError::Unaligned`] and touches nothing: the
+/// deployment then finishes bit-identically to a twin that never tried,
+/// and the same swap commits once the shards are aligned.
+#[test]
+fn hot_swap_refuses_mid_epoch_and_commits_once_aligned() {
+    let seed = 17u64;
+    let records = stream(seed);
+    // Stop inside epoch 3, with its groups still in the shards' tables.
+    let mid = records
+        .iter()
+        .position(|r| r.ts_micros / EPOCH >= 3)
+        .expect("stream spans six epochs")
+        + 50;
+    let flat_plan = || PhysicalPlan::flat([(s("A"), 16), (s("B"), 16)]);
+    let build = || ShardedExecutor::new(config(seed), 2).unwrap();
+    let (want_report, want_hfta) = {
+        let mut twin = build();
+        twin.run(&records[..mid]);
+        twin.run(&records[mid..]);
+        twin.finish()
+    };
+    let refused = |sx: &mut ShardedExecutor| {
+        let err = sx.hot_swap(flat_plan(), &SwapFault::none()).unwrap_err();
+        assert!(
+            matches!(err, SwapError::Unaligned(SnapshotError::EpochUnaligned)),
+            "expected a mid-epoch refusal, got: {err}"
+        );
+    };
+    let mut sx = build();
+    sx.run(&records[..mid]);
+    refused(&mut sx);
+    assert_eq!(sx.current_epoch(), 3, "the refusal closes no epoch");
+    sx.run(&records[mid..]);
+    let (report, hfta) = sx.finish();
+    assert_eq!(
+        report, want_report,
+        "a refused swap leaves the report as is"
+    );
+    assert_eq!(hfta.results(), want_hfta.results());
+    // A retry after the quiesce barrier commits.
+    let mut sx = build();
+    sx.run(&records[..mid]);
+    refused(&mut sx);
+    sx.align_to_epoch(4);
+    let swap = sx
+        .hot_swap(flat_plan(), &SwapFault::none())
+        .expect("an aligned swap");
+    assert!(swap.outcome.committed());
+    assert_eq!(swap.epoch, 4);
+    sx.run(&records[mid..]);
+    let (report, hfta) = sx.finish();
+    assert_eq!(report.records, records.len() as u64);
+    assert_eq!(
+        (report.replans_committed, report.replans_rolled_back),
+        (1, 0)
+    );
+    for q in [s("A"), s("B")] {
+        assert_eq!(hfta.totals(q), want_hfta.totals(q), "{q}");
+    }
 }
 
 /// Shard-local recovery: crash one shard of a 4-shard deployment
