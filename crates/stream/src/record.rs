@@ -157,10 +157,11 @@ impl GroupKey {
         }
     }
 
-    /// The live attribute values.
+    /// The live attribute values. Every constructor caps the arity at
+    /// [`MAX_ATTRS`], so the empty fallback is never taken.
     #[inline]
     pub fn values(&self) -> &[u32] {
-        &self.vals[..self.len as usize]
+        self.vals.get(..usize::from(self.len)).unwrap_or(&[])
     }
 
     /// Number of attributes in the key.

@@ -650,12 +650,15 @@ fn on_demand_checkpoint_equals_the_eager_snapshot() {
             let (mut recovered, hwm) = if with_store {
                 let recovery = handle.recover_executor(&cfg(CrashPlan::none()));
                 let recovered = recovery.executor.expect("a readable chain");
-                // Decoded maps iterate in their own order, so the
-                // recovered chain compares as a value, not as bytes.
                 assert_eq!(
                     recovered.latest_snapshot(),
                     Some(Snapshot::decode(&last).unwrap()),
                     "{label}: recovered checkpoint"
+                );
+                assert_eq!(
+                    recovered.latest_snapshot().map(|snap| snap.encode()),
+                    Some(last.clone()),
+                    "{label}: recovered checkpoint, byte for byte"
                 );
                 (recovered, recovery.records_hwm)
             } else {
