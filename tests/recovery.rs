@@ -837,6 +837,129 @@ fn unfused_drill<B: StorageBackend + 'static>(
     }
 }
 
+/// A [`SimBackend`] that folds every mutating call it is asked for —
+/// its kind, path, length and bytes, whether or not the call then
+/// succeeds — into a count and an FNV-64, shared because the store owns
+/// its backend.
+#[derive(Debug)]
+struct OpLog {
+    inner: SimBackend,
+    log: Arc<Mutex<(u64, u64)>>,
+}
+
+impl OpLog {
+    fn note(&self, kind: &str, path: &str, bytes: &[u8]) {
+        let mut log = self.log.lock().unwrap();
+        let (count, mut hash) = *log;
+        let len = (bytes.len() as u64).to_le_bytes();
+        for part in [kind.as_bytes(), path.as_bytes(), &len, bytes] {
+            for &b in part {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        *log = (count + 1, hash);
+    }
+}
+
+impl StorageBackend for OpLog {
+    fn write_atomic(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.note("write_atomic", path, bytes);
+        self.inner.write_atomic(path, bytes)
+    }
+
+    fn append(&mut self, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.note("append", path, bytes);
+        self.inner.append(path, bytes)
+    }
+
+    fn sync(&mut self, path: &str) -> Result<(), StoreError> {
+        self.note("sync", path, &[]);
+        self.inner.sync(path)
+    }
+
+    fn read(&mut self, path: &str) -> Result<Vec<u8>, StoreError> {
+        self.inner.read(path)
+    }
+
+    fn list(&mut self, dir: &str) -> Result<Vec<String>, StoreError> {
+        self.inner.list(dir)
+    }
+
+    fn remove(&mut self, path: &str) -> Result<(), StoreError> {
+        self.note("remove", path, &[]);
+        self.inner.remove(path)
+    }
+
+    fn truncate(&mut self, path: &str, len: usize) -> Result<(), StoreError> {
+        self.note("truncate", path, &(len as u64).to_le_bytes());
+        self.inner.truncate(path, len)
+    }
+
+    fn corrupt(&mut self, path: &str, index: usize) -> Result<(), StoreError> {
+        self.inner.corrupt(path, index)
+    }
+
+    fn power_cut(&mut self) {
+        self.inner.power_cut();
+    }
+}
+
+/// The store's op log, pinned: a durable drill that dies with its last
+/// epoch open, power-cuts, recovers, replays the tail and finishes asks
+/// its backend for exactly these mutating ops, in this order, with these
+/// bytes. Where the executor waits for a commit may move; what the store
+/// writes, and in which order, may not. The ENOSPC cell refuses the
+/// fourth mutating op, so the run degrades to in-memory checkpoints and
+/// the replay after recovery writes the rest.
+#[test]
+fn the_store_op_log_of_a_durable_drill_is_pinned() {
+    let recs = drill_records(SWEEP_RECORDS);
+    let oracle = drill_oracle(7, &recs);
+    let cells = [
+        (
+            "lossless",
+            StorageFaultPlan::none(),
+            (8, 0x45af_3a02_3eb4_4593),
+        ),
+        (
+            "enospc at op 3",
+            StorageFaultPlan {
+                fail_op: Some((3, StoreErrorKind::NoSpace)),
+                ..StorageFaultPlan::none()
+            },
+            (9, 0x58b0_7de9_a158_e7f8),
+        ),
+    ];
+    for (label, plan, pinned) in cells {
+        let log = Arc::new(Mutex::new((0u64, 0xcbf2_9ce4_8422_2325)));
+        let backend = OpLog {
+            inner: SimBackend::with_faults(plan),
+            log: Arc::clone(&log),
+        };
+        let handle = StoreHandle::new(CheckpointStore::open(Box::new(backend)).unwrap());
+        let mut live = drill_config(7).build().with_store(handle.clone());
+        live.run(&recs[..350]);
+        drop(live);
+        handle.power_cut().unwrap();
+        let recovery = handle.recover_executor(&drill_config(7));
+        let hwm = usize::try_from(recovery.records_hwm).unwrap();
+        let mut ex = recovery
+            .executor
+            .unwrap_or_else(|| drill_config(7).build().with_store(handle.clone()));
+        ex.run(&recs[hwm..]);
+        let (report, hfta) = ex.finish();
+        assert_eq!(report.records, oracle.0.records, "{label}");
+        assert_eq!(hfta.results(), oracle.1.results(), "{label}");
+        drop(handle);
+        let got = *log.lock().unwrap();
+        assert_eq!(
+            got, pinned,
+            "{label}: (ops, FNV-64) ({}, {:#018x})",
+            got.0, got.1
+        );
+    }
+}
+
 /// Everything a drill cell produces, for the two-run bit-identity gate.
 struct CellOutcome {
     stats: StoreStats,
