@@ -25,7 +25,7 @@ use crate::guard::{GuardLevel, GuardPolicy, GuardTransition, OverloadGuard, Shed
 use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
 use crate::snapshot::{plan_fingerprint, RecoveryError, Snapshot, SnapshotError};
-use crate::store::{ChainHead, StoreHandle};
+use crate::store::{ChainHead, PendingCommit, StoreHandle};
 use crate::table::{AggState, Entry, LftaTable, Probe, TableStats};
 use crate::CostParams;
 use msa_stream::hash::mix64;
@@ -472,6 +472,7 @@ impl ExecutorConfig {
             store: None,
             store_broken: false,
             store_head: None,
+            in_flight: None,
         }
     }
 }
@@ -549,11 +550,15 @@ pub struct Executor {
     /// later recovery falls back to the last committed generation and
     /// accounts the gap explicitly).
     store_broken: bool,
-    /// The store generation this executor's last successful commit
-    /// wrote, or the one it was recovered from: its results are a
+    /// The store generation this executor's last joined successful
+    /// commit wrote, or the one it was recovered from: its results are a
     /// prefix of ours, so the next commit writes only the results
     /// closed since. `None` makes the next commit a base.
     store_head: Option<ChainHead>,
+    /// The commit the last boundary handed to the store's writer, joined
+    /// at the next boundary, at `finish`, when a crash fuse fires, by the
+    /// hot swap, or when the executor drops.
+    in_flight: Option<PendingCommit>,
 }
 
 impl Executor {
@@ -596,6 +601,8 @@ impl Executor {
     /// latches [`Executor::store_degraded`] and continues on in-memory
     /// checkpoints.
     pub fn with_store(mut self, store: StoreHandle) -> Executor {
+        // A commit still in flight belongs to the chain being replaced.
+        let _ = self.join_commit();
         self.auto_snapshot = true;
         self.store = Some(store);
         self.store_broken = false;
@@ -619,7 +626,9 @@ impl Executor {
     }
 
     /// True once a store operation failed past its retry budget and the
-    /// executor fell back to in-memory artifacts only.
+    /// executor fell back to in-memory artifacts only. A commit still in
+    /// flight counts once it is joined: at the next boundary, `finish`,
+    /// or a crash fuse.
     pub fn store_degraded(&self) -> bool {
         self.store_broken
     }
@@ -683,34 +692,57 @@ impl Executor {
     }
 
     /// Takes a boundary checkpoint, the only place one is taken: marks
-    /// the boundary and commits it to the attached store, which reads
-    /// the finished results in place. A no-op on an executor that does
-    /// not checkpoint. The caller guarantees alignment: every caller
-    /// runs at an epoch boundary.
+    /// the boundary, joins the commit the previous boundary handed off,
+    /// and hands this one to the attached store's writer, which encodes
+    /// the finished results in place on this thread and writes them on
+    /// its own while the next epoch runs. A no-op on an executor that
+    /// does not checkpoint. The caller guarantees alignment: every
+    /// caller runs at an epoch boundary.
     ///
     /// A store failure degrades (never panics) past the retry budget:
-    /// it latches [`Executor::store_degraded`], the run continues on the
-    /// boundary mark, and a restart reads the last good generation with
-    /// the uncovered gap accounted as stale-fallback loss. The failure
-    /// is also returned, for the hot swap, whose transaction must roll
-    /// back when its handoff cannot be made durable.
-    pub(crate) fn checkpoint(&mut self) -> Result<(), StoreError> {
+    /// at its join it latches [`Executor::store_degraded`], the run
+    /// continues on the boundary mark, and a restart reads the last good
+    /// generation with the uncovered gap accounted as stale-fallback
+    /// loss.
+    pub(crate) fn checkpoint(&mut self) {
         if !self.auto_snapshot {
-            return Ok(());
+            return;
         }
         let mark = self.mark();
-        let mut committed = Ok(());
+        let _ = self.join_commit();
         if let Some(store) = self.store.as_ref().filter(|_| !self.store_broken) {
-            match store.commit(&mark.state, self.hfta.results(), self.store_head) {
-                Ok(head) => self.store_head = Some(head),
-                Err(error) => {
-                    self.store_broken = true;
-                    committed = Err(error);
-                }
-            }
+            self.in_flight = Some(store.commit(&mark.state, self.hfta.results(), self.store_head));
         }
         self.boundary = Some(Box::new(mark));
-        committed
+    }
+
+    /// Waits for the commit in flight, if any, and moves the chain head
+    /// on success or latches [`Executor::store_degraded`] on failure. The
+    /// failure is also returned, for the hot swap, whose transaction
+    /// must roll back when its handoff cannot be made durable. A backend
+    /// panic on the store's writer is raised again here.
+    pub(crate) fn join_commit(&mut self) -> Result<(), StoreError> {
+        let Some(pending) = self.in_flight.take() else {
+            return Ok(());
+        };
+        match pending.join() {
+            Ok(head) => {
+                self.store_head = Some(head);
+                Ok(())
+            }
+            Err(error) => {
+                self.store_broken = true;
+                Err(error)
+            }
+        }
+    }
+
+    /// A crash fuse fired: the executor goes inert, as if the process
+    /// died, once the commit in flight has landed — a commit handed off
+    /// at the last boundary is as durable as one that finished there.
+    fn die(&mut self) {
+        self.crashed = true;
+        let _ = self.join_commit();
     }
 
     /// Routes entries leaving node `i` — one evicted entry at ingest,
@@ -744,7 +776,7 @@ impl Executor {
                 // between two boundary counts lands mid-flush).
                 if let Some(n) = self.crash.after_offers {
                     if self.report.intra_evictions + self.report.flush_evictions >= n {
-                        self.crashed = true;
+                        self.die();
                         return;
                     }
                 }
@@ -813,12 +845,12 @@ impl Executor {
         // an epoch boundary by construction, so a crash ahead of the
         // first real boundary still has something to recover from.
         if self.auto_snapshot && self.boundary.is_none() {
-            let _ = self.checkpoint();
+            self.checkpoint();
         }
         // Crash fuse: dies before processing record `at_record`.
         if let Some(n) = self.crash.at_record {
             if self.report.records >= n {
-                self.crashed = true;
+                self.die();
                 return;
             }
         }
@@ -922,13 +954,13 @@ impl Executor {
                 return;
             }
             if self.auto_snapshot && self.boundary.is_none() {
-                let _ = self.checkpoint();
+                self.checkpoint();
             }
             // Crash fuse first, then epoch flushes: the scalar path
             // checks `at_record` *before* closing epochs.
             if let Some(n) = self.crash.at_record {
                 if self.report.records >= n {
-                    self.crashed = true;
+                    self.die();
                     return;
                 }
             }
@@ -1066,7 +1098,7 @@ impl Executor {
             for lane in block..block_end {
                 if let Some(n) = fuse {
                     if records_base + local_records >= n {
-                        self.crashed = true;
+                        self.die();
                         break;
                     }
                 }
@@ -1194,7 +1226,7 @@ impl Executor {
                 self.report.bound_breached = true;
             }
         }
-        let _ = self.checkpoint();
+        self.checkpoint();
     }
 
     fn fingerprint(&self) -> u64 {
@@ -1270,10 +1302,11 @@ impl Executor {
 
     /// The epoch and record high-water mark a restart
     /// ([`Executor::restart`]) resumes from, read without building the
-    /// checkpoint: the last successful commit's when a store is
-    /// attached, else the boundary mark's. The supervisor prunes its
-    /// replay buffer at this position, so the buffer never lets go of a
-    /// record the restart would need.
+    /// checkpoint: the last joined successful commit's when a store is
+    /// attached (a restart reads at least that far, since the store
+    /// waits for the commit in flight first), else the boundary mark's.
+    /// The supervisor prunes its replay buffer at this position, so the
+    /// buffer never lets go of a record the restart would need.
     pub(crate) fn checkpoint_position(&self) -> Option<(u64, u64)> {
         match &self.store {
             Some(_) => self.store_head.map(|h| (h.epoch, h.records_hwm)),
@@ -1470,7 +1503,7 @@ impl Executor {
         }
         self.install(snapshot);
         self.auto_snapshot = true;
-        let _ = self.checkpoint();
+        self.checkpoint();
         self.crashed = false;
         Ok(self)
     }
@@ -1490,7 +1523,8 @@ impl Executor {
         self.duplicated_mark = snapshot.duplicated_mark;
     }
 
-    /// Flushes the final epoch and returns the report.
+    /// Flushes the final epoch, waits for its commit when a store is
+    /// attached, and returns the report.
     pub fn finish(self) -> (RunReport, Hfta) {
         let (report, hfta, _) = self.finish_parts();
         (report, hfta)
@@ -1503,6 +1537,7 @@ impl Executor {
             self.account_abandonment();
         }
         self.flush_epoch();
+        let _ = self.join_commit();
         // A crashed executor skips the boundary flush above, so publish
         // any latched breach directly before the report leaves.
         if self.guard.as_ref().is_some_and(|g| g.bound_breached()) {

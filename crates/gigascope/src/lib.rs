@@ -74,6 +74,7 @@ pub mod store;
 pub mod supervise;
 pub mod swap;
 pub mod table;
+mod writer;
 
 pub use bounds::{BoundsReport, LossBreakdown, LossClass, QueryBounds};
 pub use channel::{ChannelFaults, ChannelStats, Delivery, EvictionChannel};

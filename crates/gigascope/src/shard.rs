@@ -534,8 +534,14 @@ impl ShardedExecutor {
         if fault.crash.is_some() && !self.config.durable {
             return Err(SwapError::CrashDrillNeedsDurability);
         }
-        // Phase 1 + 2: quiesce barrier — every shard must sit at the
-        // same epoch boundary — and per-shard boundary snapshots.
+        // Phase 1 + 2: quiesce barrier — every shard's commit in flight
+        // lands, and every shard must sit at the same epoch boundary —
+        // and per-shard boundary snapshots. A commit that fails here
+        // latches its shard's degraded store, as it would at the shard's
+        // next boundary.
+        for ex in &mut self.shards {
+            let _ = ex.join_commit();
+        }
         let mut snaps = Vec::with_capacity(self.n);
         for ex in &self.shards {
             snaps.push(ex.snapshot().map_err(SwapError::Unaligned)?);
@@ -623,15 +629,16 @@ impl ShardedExecutor {
         // Durable commit: each shard checkpoints its adopted boundary
         // state under the new plan's fingerprint, and a store-backed
         // shard persists it as a new generation, whose rename is the
-        // swap's real commit point on disk. A refusal rolls the whole
-        // transaction back with the old deployment untouched (a shard
-        // whose store already committed merely carries an
-        // uncommitted-plan generation that recovery will quarantine and
-        // fall back past — never torn state).
-        let refused = new_shards
-            .iter_mut()
-            .enumerate()
-            .find_map(|(k, ex)| ex.checkpoint().err().map(|error| (k, error)));
+        // swap's real commit point on disk; the swap joins each commit
+        // before it goes on, so it knows the commit landed. A refusal
+        // rolls the whole transaction back with the old deployment
+        // untouched (a shard whose store already committed merely
+        // carries an uncommitted-plan generation that recovery will
+        // quarantine and fall back past — never torn state).
+        let refused = new_shards.iter_mut().enumerate().find_map(|(k, ex)| {
+            ex.checkpoint();
+            ex.join_commit().err().map(|error| (k, error))
+        });
         if let Some((shard, error)) = refused {
             drop(new_shards);
             self.note_rolled_back();
@@ -695,7 +702,7 @@ impl ShardedExecutor {
     fn note_rolled_back(&mut self) {
         if let Some(ex) = self.shards.first_mut() {
             ex.note_replan_rolled_back();
-            let _ = ex.checkpoint();
+            ex.checkpoint();
         }
         for hb in &self.heartbeats {
             hb.publish(ShardState::Healthy);

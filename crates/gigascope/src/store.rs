@@ -20,19 +20,30 @@
 //! result count it holds. A *base* has no parent and holds every result.
 //!
 //! A **commit** is one atomic write of the next generation, and that
-//! write's rename is the commit point: once it returns, recovery finds
-//! the generation. The layout is flat because
+//! write's rename is the commit point. The committing executor encodes
+//! the generation on its own thread and hands the bytes to the store's
+//! writer (`writer.rs`), which writes them, then runs GC, on a thread of
+//! its own while the executor ingests the next epoch. The executor
+//! joins the commit at its next boundary, before it encodes the next
+//! one: a commit is durable once it has been joined, and only then do
+//! the executor's chain head, its degraded latch and the position a
+//! restart resumes at move. Every other use of the store — recovery,
+//! scrub, stats, a power cut, the drill hatch, dropping the last handle
+//! — first waits for the commit in flight, so the backend sees the same
+//! operations in the same order as if each commit had finished where it
+//! was handed off. The layout is flat because
 //! [`DiskBackend`](msa_stream::store::DiskBackend) fsyncs only the
 //! written file's parent directory; a generation in a directory of its
 //! own would leave its entry in the root undurable, and a power loss
-//! could undo a commit that had returned. Every commit takes a number
+//! could undo a commit that had been joined. Every commit takes a number
 //! above every generation on disk and every one tried since, so the
 //! last good generation is never overwritten and a crash at any byte
-//! leaves a readable store. A commit reads from borrowed parts: the
+//! leaves a readable store. A commit encodes from borrowed parts: the
 //! executor's boundary state and its finished results, by reference,
 //! of which it encodes only the tail its link needs. Nothing moves out
 //! of the executor across the backend call, so a backend write that
-//! panics leaves the executor whole. The new generation is a delta only
+//! panics leaves the executor whole; the panic is raised again on the
+//! executor's thread at the join. The new generation is a delta only
 //! on top of a head whose results are known to be a prefix of the
 //! executor's: the head the committing executor's last successful
 //! commit wrote, or the one it was recovered from (its `ChainHead`
@@ -75,10 +86,12 @@
 use crate::executor::{Executor, ExecutorConfig};
 use crate::hfta::EpochResult;
 use crate::snapshot::{ChainLink, Snapshot};
+use crate::writer::{lock, Landing, Settled, Writer};
 use msa_stream::store::{
     DiskBackend, SimBackend, StorageBackend, StorageFaultPlan, StoreError, StoreErrorKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -140,6 +153,16 @@ struct Verified {
     parent: Option<u64>,
     /// Finished results its chain holds, base through this generation.
     results: u64,
+}
+
+/// A generation encoded and numbered on the committing executor's
+/// thread, on its way to the writer.
+#[derive(Debug)]
+struct Encoded {
+    bytes: Vec<u8>,
+    link: Option<ChainLink>,
+    /// The head the generation becomes once written.
+    head: ChainHead,
 }
 
 /// The chain below a generation, as far as the store can tell.
@@ -259,23 +282,24 @@ impl CheckpointStore {
         }
     }
 
-    /// Commits a boundary as a new generation: one atomic write, whose
-    /// rename is the commit point, then GC of off-chain generations.
-    /// Both parts are borrowed: `state` is the boundary state (its own
-    /// `hfta.results` is not read) and `results` every finished result
-    /// at the boundary, of which the generation encodes only those its
-    /// parent's chain lacks. The generation is a delta over `parent`
-    /// when this store still holds it, on an intact chain, with exactly
-    /// `parent.results` results; otherwise it is a base. The caller
-    /// vouches that those results are a prefix of `results`, and moves
-    /// its cursor to the returned head only on success — after a
-    /// failure the next commit is still a correct delta over `parent`.
-    pub(crate) fn commit(
+    /// Encodes a boundary as the next generation and claims its number:
+    /// the half of a commit that runs on the committing executor's
+    /// thread. Both parts are borrowed: `state` is the boundary state
+    /// (its own `hfta.results` is not read) and `results` every finished
+    /// result at the boundary, of which the generation encodes only
+    /// those its parent's chain lacks. The generation is a delta over
+    /// `parent` when this store still holds it, on an intact chain, with
+    /// exactly `parent.results` results; otherwise it is a base. The
+    /// caller vouches that those results are a prefix of `results`, and
+    /// moves its cursor to the new head only once [`Self::write`]
+    /// succeeded — after a failure the next commit is still a correct
+    /// delta over `parent`.
+    fn prepare(
         &mut self,
         state: &Snapshot,
         results: &[EpochResult],
         parent: Option<ChainHead>,
-    ) -> Result<ChainHead, StoreError> {
+    ) -> Encoded {
         let count = results.len() as u64;
         let link = parent
             .filter(|p| p.results <= count && self.holds(*p))
@@ -286,27 +310,39 @@ impl CheckpointStore {
         let bytes = state.encode_generation(results, link);
         // Claimed before the write: a write that fails may still have
         // landed, so GC must know of it and no later commit reuses it.
-        let gen = self.next_generation;
+        let generation = self.next_generation;
         self.next_generation += 1;
-        self.on_disk.insert(gen);
-        let path = CheckpointStore::generation_path(gen);
+        self.on_disk.insert(generation);
+        Encoded {
+            bytes,
+            link,
+            head: ChainHead {
+                generation,
+                results: count,
+                epoch: state.epoch,
+                records_hwm: state.records_hwm,
+            },
+        }
+    }
+
+    /// Writes a prepared generation: one atomic write, whose rename is
+    /// the commit point, then GC of off-chain generations. The half of a
+    /// commit that runs on the store's writer.
+    fn write(&mut self, encoded: Encoded) -> Result<ChainHead, StoreError> {
+        let Encoded { bytes, link, head } = encoded;
+        let path = CheckpointStore::generation_path(head.generation);
         self.retrying(|b| b.write_atomic(&path, &bytes))?;
         self.verified.insert(
-            gen,
+            head.generation,
             Verified {
                 parent: link.map(|l| l.parent),
-                results: count,
+                results: head.results,
             },
         );
-        self.push_head(gen);
+        self.push_head(head.generation);
         self.stats.commits += 1;
         self.gc();
-        Ok(ChainHead {
-            generation: gen,
-            results: count,
-            epoch: state.epoch,
-            records_hwm: state.records_hwm,
-        })
+        Ok(head)
     }
 
     /// Makes `gen` the newest head; the previous newest becomes the
@@ -566,19 +602,76 @@ pub struct StoreRecovery {
 }
 
 /// A cloneable, thread-safe handle to one [`CheckpointStore`] — what
-/// executors, shard drivers and supervisors actually hold. The mutex is
-/// poison-proof: a panicking thread elsewhere never takes durability
-/// down with it.
+/// executors, shard drivers and supervisors actually hold. Every call
+/// waits for the commit in flight before it touches the store, and
+/// dropping the last handle waits for it too. The mutex is poison-proof:
+/// a panicking thread elsewhere never takes durability down with it.
 #[derive(Clone, Debug)]
 pub struct StoreHandle {
-    inner: Arc<Mutex<CheckpointStore>>,
+    inner: Arc<Shared>,
+}
+
+/// What every handle on one store shares.
+#[derive(Debug)]
+struct Shared {
+    /// Settled before anything touches `store`.
+    writer: Writer,
+    /// The store, shared with the thread of the commit in flight.
+    store: Arc<Mutex<CheckpointStore>>,
+}
+
+/// The store with no commit in flight, held: no commit starts until the
+/// guard drops.
+struct Exclusive<'a> {
+    store: MutexGuard<'a, CheckpointStore>,
+    _settled: Settled<'a>,
+}
+
+impl Deref for Exclusive<'_> {
+    type Target = CheckpointStore;
+
+    fn deref(&self) -> &CheckpointStore {
+        &self.store
+    }
+}
+
+impl DerefMut for Exclusive<'_> {
+    fn deref_mut(&mut self) -> &mut CheckpointStore {
+        &mut self.store
+    }
+}
+
+/// A commit handed to the store's writer. Its executor joins it at the
+/// next boundary; dropping it waits for the write.
+#[derive(Clone, Debug)]
+pub(crate) struct PendingCommit {
+    store: StoreHandle,
+    landing: Landing,
+}
+
+impl PendingCommit {
+    /// Waits for the commit to land: the head it wrote, or why it
+    /// failed. A backend panic on the writer is raised again here.
+    pub(crate) fn join(self) -> Result<ChainHead, StoreError> {
+        drop(self.store.inner.writer.settle());
+        self.landing.outcome()
+    }
+}
+
+impl Drop for PendingCommit {
+    fn drop(&mut self) {
+        drop(self.store.inner.writer.settle());
+    }
 }
 
 impl StoreHandle {
     /// Wraps an already-open store.
     pub fn new(store: CheckpointStore) -> StoreHandle {
         StoreHandle {
-            inner: Arc::new(Mutex::new(store)),
+            inner: Arc::new(Shared {
+                writer: Writer::default(),
+                store: Arc::new(Mutex::new(store)),
+            }),
         }
     }
 
@@ -599,21 +692,40 @@ impl StoreHandle {
         CheckpointStore::open(Box::new(backend)).map(StoreHandle::new)
     }
 
-    fn lock(&self) -> MutexGuard<'_, CheckpointStore> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
+    /// The store, once the commit in flight has landed.
+    fn lock(&self) -> Exclusive<'_> {
+        let settled = self.inner.writer.settle();
+        Exclusive {
+            store: lock(&self.inner.store),
+            _settled: settled,
         }
     }
 
-    /// See [`CheckpointStore::commit`].
+    /// Commits a boundary as a new generation (see
+    /// [`CheckpointStore::prepare`]): waits for the commit in flight,
+    /// encodes the generation on the caller's thread, and hands it to
+    /// the writer. The returned commit is durable once joined.
     pub(crate) fn commit(
         &self,
         state: &Snapshot,
         results: &[EpochResult],
         parent: Option<ChainHead>,
-    ) -> Result<ChainHead, StoreError> {
-        self.lock().commit(state, results, parent)
+    ) -> PendingCommit {
+        let settled = self.inner.writer.settle();
+        let encoded = lock(&self.inner.store).prepare(state, results, parent);
+        let generation = encoded.head.generation;
+        let store = Arc::clone(&self.inner.store);
+        let landing = settled.hand_off(
+            move || lock(&store).write(encoded),
+            || {
+                let path = CheckpointStore::generation_path(generation);
+                StoreError::new("write_atomic", &path, StoreErrorKind::Eio)
+            },
+        );
+        PendingCommit {
+            store: self.clone(),
+            landing,
+        }
     }
 
     /// See [`CheckpointStore::scrub`].
@@ -780,13 +892,15 @@ mod tests {
         names
     }
 
-    /// Commits a whole snapshot: its boundary state and its results.
+    /// Commits a whole snapshot, its boundary state and its results,
+    /// on the caller's thread.
     fn commit(
         store: &mut CheckpointStore,
         snap: &Snapshot,
         parent: Option<ChainHead>,
     ) -> Result<ChainHead, StoreError> {
-        store.commit(snap, &snap.hfta.results, parent)
+        let encoded = store.prepare(snap, &snap.hfta.results, parent);
+        store.write(encoded)
     }
 
     /// The boundary checkpoint after each of the first `n` epochs of

@@ -112,8 +112,8 @@ pub const CATALOG: &[Rule] = &[
         id: "D005",
         group: "determinism",
         severity: Severity::Error,
-        summary: "no thread spawning outside crates/gigascope/src/shard.rs and crates/bench",
-        help: "route concurrency through shard::ShardedExecutor, whose merge order is deterministic; ad-hoc threads leak scheduling into results",
+        summary: "no thread spawning outside crates/gigascope/src/shard.rs, crates/gigascope/src/writer.rs and crates/bench",
+        help: "route concurrency through shard::ShardedExecutor, whose merge order is deterministic, or the store's one-commit writer, which every store access joins first; ad-hoc threads leak scheduling into results",
         check: d005_thread_spawn,
     },
     Rule {
@@ -366,15 +366,21 @@ fn d004_float_eq(rule: &'static Rule, ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-/// D005 — thread spawning outside the sharded runtime. All OS-thread
-/// concurrency must flow through `shard::ShardedExecutor`, whose
-/// shard-then-sequence merge keeps results independent of scheduling;
-/// a `spawn` call anywhere else can leak thread interleaving into
-/// deterministic state. `crates/bench` is exempt (wall-clock harnesses
-/// may thread freely), as is test code.
+/// D005 — thread spawning outside the sharded runtime and the store's
+/// writer. All OS-thread concurrency must flow through
+/// `shard::ShardedExecutor`, whose shard-then-sequence merge keeps
+/// results independent of scheduling, or through the checkpoint
+/// store's writer (`writer.rs`), which keeps at most one commit in
+/// flight and is joined before anything else touches the store, so the
+/// backend sees one fixed order of operations; a `spawn` call anywhere
+/// else can leak thread interleaving into deterministic state.
+/// `crates/bench` is exempt (wall-clock harnesses may thread freely),
+/// as is test code.
 fn d005_thread_spawn(rule: &'static Rule, ctx: &FileCtx) -> Vec<Finding> {
-    if ctx.rel_path == "crates/gigascope/src/shard.rs"
-        || ctx.crate_dir() == Some("bench")
+    if matches!(
+        ctx.rel_path,
+        "crates/gigascope/src/shard.rs" | "crates/gigascope/src/writer.rs"
+    ) || ctx.crate_dir() == Some("bench")
         || ctx.is_test_path()
     {
         return Vec::new();
@@ -396,7 +402,7 @@ fn d005_thread_spawn(rule: &'static Rule, ctx: &FileCtx) -> Vec<Finding> {
                 rule,
                 ctx,
                 t,
-                "thread `spawn` outside crates/gigascope/src/shard.rs".to_owned(),
+                "thread `spawn` outside crates/gigascope/src/shard.rs and writer.rs".to_owned(),
             ));
         }
     }

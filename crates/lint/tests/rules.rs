@@ -68,8 +68,14 @@ fn d005_thread_spawn() {
     let hits = fire_at("crates/gigascope/src/executor.rs", pos, "D005");
     assert_eq!(hits.len(), 2, "thread::spawn + scope spawn: {hits:?}");
     assert_eq!(fires("crates/gigascope/src/executor.rs", neg, "D005"), 0);
-    // The sharded runtime is the one sanctioned home for threads.
+    // The sharded runtime and the store's writer are the two sanctioned
+    // homes for threads; every other runtime module still fires.
     assert_eq!(fires("crates/gigascope/src/shard.rs", pos, "D005"), 0);
+    assert_eq!(fires("crates/gigascope/src/writer.rs", pos, "D005"), 0);
+    for module in ["snapshot.rs", "supervise.rs", "store.rs", "swap.rs"] {
+        let path = format!("crates/gigascope/src/{module}");
+        assert_eq!(fires(&path, pos, "D005"), 2, "{path}");
+    }
     // crates/bench may thread freely (wall-clock harnesses).
     assert_eq!(
         fires("crates/bench/src/bin/shard_scaling.rs", pos, "D005"),

@@ -812,8 +812,10 @@ fn unfused_drill<B: StorageBackend + 'static>(
     let mut live = drill_config(seed).build().with_store(handle.clone());
     live.run(recs);
     assert!(!live.store_degraded(), "the unfused run must stay healthy");
-    let seen = *seen.lock().unwrap();
+    // The store's counters wait for the commit still in flight, so the
+    // backend has seen every op once they are read.
     let stats = handle.stats();
+    let seen = *seen.lock().unwrap();
     let listing = handle.with_backend(|b| b.list("")).unwrap();
     let mut chain: Vec<String> = (1..=stats.commits)
         .map(CheckpointStore::generation_path)
@@ -1287,6 +1289,131 @@ fn disk_kill_between_syscalls_sweep_is_crash_atomic() {
         let mut ex = match recovery.executor {
             Some(ex) => ex,
             None => drill_config(11).build(),
+        };
+        ex.run(&recs[usize::try_from(records_hwm).unwrap()..]);
+        let (report, hfta) = ex.finish();
+        assert_eq!(report.records, oracle.0.records, "kill at step {k}");
+        assert_eq!(
+            hfta.results(),
+            oracle.1.results(),
+            "kill at step {k}: recovery must be bit-identical — never a mixture"
+        );
+        for q in [s("A"), s("B")] {
+            assert_eq!(hfta.totals(q), oracle.1.totals(q), "kill at step {k} {q}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// The kill sweep again, through a hot swap: a one-shard deployment over
+/// a fused [`DiskBackend`] runs four epochs, swaps to a flat plan at the
+/// boundary and runs on. The swap's durable commit is written on the
+/// store's writer and joined by the swap before it goes on, so `k`
+/// reaches every step of that commit as well. A kill before the swap's
+/// commit has landed refuses the swap and rolls it back, since the
+/// handoff cannot be made durable; a kill after it lands in the new
+/// plan's generations. Either way a reboot
+/// recovers under the plan of the newest generation on disk — the new
+/// plan once the swap's rename ran, the old one before — with no
+/// fallback and no quarantine, and replay is bit-identical to the
+/// no-swap oracle, since the answers do not depend on the plan.
+#[test]
+fn disk_kill_sweep_through_a_hot_swap_is_crash_atomic() {
+    let recs = drill_records(SWEEP_RECORDS);
+    let oracle = drill_oracle(11, &recs);
+    let half = recs
+        .iter()
+        .position(|r| r.ts_micros >= 4 * DRILL_EPOCH)
+        .expect("the drill spans seven epochs");
+    let flat = || PhysicalPlan::flat([(s("A"), 16), (s("B"), 16)]);
+    let config_for = |plan: PhysicalPlan| ExecutorConfig {
+        plan,
+        ..drill_config(11)
+    };
+    // Runs the deployment over `store`, calling `at_swap` at the
+    // boundary just before the swap; returns the swap's outcome.
+    let drive = |store: &StoreHandle, at_swap: &mut dyn FnMut()| {
+        let mut sx = ShardedExecutor::new(drill_config(11), 1)
+            .unwrap()
+            .with_stores(vec![store.clone()]);
+        sx.run(&recs[..half]);
+        sx.align_to_epoch(4);
+        at_swap();
+        let swap = sx.hot_swap(flat(), &SwapFault::none());
+        sx.run(&recs[half..]);
+        let (report, _) = sx.finish();
+        assert_eq!(report.records, recs.len() as u64, "the pipeline ran on");
+        swap
+    };
+    let base = std::env::temp_dir().join(format!("msa_recovery_swap_kill_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    // The fault-free run: how many steps it makes, and how many came
+    // before the swap's commit, whose rename is its third step.
+    let seen = Arc::new(Mutex::new(Seen::default()));
+    let observed = Observed {
+        inner: DiskBackend::new(base.join("unfused")).unwrap(),
+        points: DiskBackend::steps,
+        seen: Arc::clone(&seen),
+    };
+    let store = StoreHandle::new(CheckpointStore::open(Box::new(observed)).unwrap());
+    let mut before_swap = 0;
+    let swap = drive(&store, &mut || {
+        let commits = store.stats().commits;
+        before_swap = seen.lock().unwrap().points;
+        assert_eq!(before_swap, 4 * commits, "four steps per commit so far");
+    });
+    assert!(
+        swap.unwrap().outcome.committed(),
+        "the unfused swap commits"
+    );
+    let stats = store.stats();
+    let steps = seen.lock().unwrap().points;
+    assert_eq!(steps, 4 * stats.commits + stats.generations_removed);
+    assert!(steps > before_swap + 4, "the run commits past the swap");
+    for k in 0..steps {
+        let root = base.join(format!("k{k}"));
+        let _ = std::fs::remove_dir_all(&root);
+        {
+            let backend = DiskBackend::with_kill_after(&root, k).unwrap();
+            let store = StoreHandle::new(CheckpointStore::open(Box::new(backend)).unwrap());
+            let swap = drive(&store, &mut || {});
+            if k < before_swap + 4 {
+                assert!(
+                    matches!(swap, Err(SwapError::DurableCommit { shard: 0, .. })),
+                    "kill at step {k}, by the swap's commit: {swap:?}"
+                );
+            } else {
+                assert!(
+                    swap.is_ok_and(|s| s.outcome.committed()),
+                    "kill at step {k}, after the swap's commit"
+                );
+            }
+            assert!(
+                store.with_backend(|b| b.list("")).is_err(),
+                "kill at step {k} never fired"
+            );
+        }
+        let plan = if k >= before_swap + 3 {
+            flat()
+        } else {
+            phantom_plan()
+        };
+        let handle = StoreHandle::on_disk(&root).unwrap();
+        let recovery = handle.recover_executor(&config_for(plan.clone()));
+        assert_eq!(
+            recovery.fallbacks, 0,
+            "kill at step {k}: an interrupted write is no fallback"
+        );
+        assert_eq!(
+            handle.stats().generations_quarantined,
+            0,
+            "kill at step {k}: nothing on disk is corrupt"
+        );
+        let records_hwm = recovery.records_hwm;
+        let mut ex = match recovery.executor {
+            Some(ex) => ex,
+            None => config_for(plan).build(),
         };
         ex.run(&recs[usize::try_from(records_hwm).unwrap()..]);
         let (report, hfta) = ex.finish();

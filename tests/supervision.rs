@@ -495,7 +495,9 @@ struct PanickingDisk {
     dying: Vec<u32>,
 }
 
-/// Payload of the disk's panics, kept off stderr by [`quiet_disk_panics`].
+/// Payload of the disk's panics, kept off stderr by [`quiet_disk_panics`]
+/// both where the disk raises it, on the store's writer, and where the
+/// executor raises it again, boxed, at its join.
 struct DiskPanic;
 
 fn quiet_disk_panics() {
@@ -503,7 +505,11 @@ fn quiet_disk_panics() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<DiskPanic>().is_none() {
+            let payload = info.payload();
+            let raised_again = payload
+                .downcast_ref::<Box<dyn std::any::Any + Send>>()
+                .is_some_and(|inner| inner.is::<DiskPanic>());
+            if !payload.is::<DiskPanic>() && !raised_again {
                 prev(info);
             }
         }));
@@ -556,8 +562,10 @@ impl StorageBackend for PanickingDisk {
 /// fault, so the supervisor cannot know its record — is pinned to its
 /// exact record before the poison verdict counts it. The last shard's
 /// store panics on chosen writes; one write is one commit, so its third
-/// write is the commit of the close of epoch 1, run by the partition's
-/// first record of epoch 2.
+/// write is the commit of the close of epoch 1. That write runs on the
+/// store's writer, and its panic is raised again where the executor
+/// joins the commit: at the close of epoch 2, run by the partition's
+/// first record of epoch 3.
 ///
 /// * transient (third write only): one restart, then a clean replay,
 ///   bit-identical to the fault-free run apart from `shard_restarts`;
@@ -600,8 +608,8 @@ fn panics_escaping_a_chunk_are_pinned_to_their_record() {
     let part = build(n, false).partition(&records).swap_remove(target);
     let at = part
         .iter()
-        .position(|r| r.ts_micros >= 2 * EPOCH)
-        .expect("the partition reaches epoch 2");
+        .position(|r| r.ts_micros >= 3 * EPOCH)
+        .expect("the partition reaches epoch 3");
     let (report, hfta, health) = run(vec![3, 4, 5, 6]);
     assert_eq!((health.panics_caught, health.restarts), (4, 4), "recurring");
     assert_eq!(health.poisoned.len(), 1, "recurring");
