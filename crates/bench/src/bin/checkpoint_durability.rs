@@ -235,8 +235,9 @@ fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
          \"metric\": \"durable-run overhead and cold-start latency by checkpoint density\",\n  \
          \"note\": \"Each row attaches a real DiskBackend (write-temp/fsync/rename/fsync-dir \
          commits, one per epoch boundary and nothing in between) and compares against the \
-         identical in-memory run; per_commit_overhead_us charges the whole durable-minus-\
-         in-memory difference to the commits. Each generation after the genesis base is a \
+         identical in-memory run; durable_run_ms includes dropping the executor, which waits \
+         for the commit still in flight, and per_commit_overhead_us charges the whole \
+         durable-minus-in-memory difference to the commits. Each generation after the genesis base is a \
          delta holding only the epoch it closed, chained to its parent; newest_generation_bytes \
          and smallest_delta_bytes are snapshot-file sizes read from the store directory, and \
          the bench asserts the first is at most twice the second. cold_start_ms = reopen + \
