@@ -1317,6 +1317,15 @@ impl Executor {
         }
     }
 
+    /// The records seen at the boundary whose commit is in flight, which
+    /// is the index of the record whose offer crossed that boundary;
+    /// `None` with no commit in flight. The supervisor charges a panic
+    /// raised at the commit's last join to that record.
+    pub(crate) fn in_flight_records(&self) -> Option<u64> {
+        self.in_flight.as_ref()?;
+        self.boundary.as_deref().map(|m| m.state.records_hwm)
+    }
+
     /// Rebuilds this (typically dead) executor from its checkpoint as
     /// `cfg` describes it: the only way anything restarts from one.
     /// Returns the new executor, the record high-water mark the caller

@@ -12,7 +12,10 @@
 //!   erect one; msa-lint rule R005 enforces the containment). A caught
 //!   panic marks the shard *dead* and triggers a restart instead of an
 //!   abort; a panic that escaped a multi-record range is first pinned
-//!   to its record by replaying that range one record per chunk.
+//!   to its record by replaying that range one record per chunk. When
+//!   the feed closes, the commit the shard's last boundary handed to
+//!   its store's writer is joined inside a boundary too, so a backend
+//!   panic in it is absorbed here, not in `finish` or a hot swap.
 //! * **restart from checkpoint** — a dead or stuck shard is rebuilt
 //!   from its last epoch-aligned checkpoint ([`Executor::restart`]:
 //!   its store's newest usable generation when one is attached, else
@@ -376,6 +379,7 @@ impl ShardDriver {
             self.declare_stuck();
         }
         self.pump();
+        self.land_commit();
         if self.ex.has_crashed() {
             let lost = self.received.saturating_sub(self.ex.report().records);
             self.ex.absorb_shutdown_loss(lost);
@@ -465,6 +469,42 @@ impl ShardDriver {
                     }
                 },
             }
+        }
+    }
+
+    /// Joins the commit the shard's last boundary handed to its store's
+    /// writer inside a panic boundary, so no executor leaves supervision
+    /// with a commit in flight. A backend panic raised at this join is
+    /// charged to the record whose offer crossed that boundary: the
+    /// shard restarts from its checkpoint, replays, and joins again, and
+    /// a record that keeps killing it is quarantined like any other. A
+    /// record the replay buffer no longer holds cannot be charged; the
+    /// shard restarts all the same, and after `poison_threshold` such
+    /// panics in a row the commit is given up without a restart, which
+    /// leaves the executor whole and its next commit covering the lost
+    /// one's results.
+    fn land_commit(&mut self) {
+        let mut uncharged = 0;
+        while let Some(at) = self.ex.in_flight_records() {
+            let ex = &mut self.ex;
+            if catch_unwind(AssertUnwindSafe(|| ex.join_commit())).is_ok() {
+                continue;
+            }
+            let record = locate(&self.buf, self.chunk_start, at)
+                .and_then(|(chunk, from)| chunk.get(lane(at - from)));
+            if let Some(record) = record {
+                self.on_panic(at, record);
+            } else {
+                self.heartbeat.publish(ShardState::Dead);
+                self.health.panics_caught += 1;
+                uncharged += 1;
+                if uncharged >= self.policy.poison_threshold {
+                    self.heartbeat.publish(ShardState::Healthy);
+                    return;
+                }
+                self.restart();
+            }
+            self.pump();
         }
     }
 

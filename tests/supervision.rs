@@ -20,7 +20,7 @@
 use msa_core::{
     shard_of, AttrSet, CheckpointStore, CostParams, CrashPlan, ExecutorConfig, GuardPolicy, Record,
     RunReport, ShardFault, ShardState, ShardedExecutor, SimBackend, StorageBackend, StoreError,
-    StoreHandle, SupervisorPolicy,
+    StoreHandle, SupervisorPolicy, SwapError, SwapFault,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -486,8 +486,9 @@ fn repeated_runs_count_fault_indices_across_the_whole_partition() {
 }
 
 /// A simulated disk whose `write_atomic` calls numbered in `dying`
-/// (1-based) panic before touching anything: a real panic raised from
-/// inside a shard's epoch close, in the middle of a chunk.
+/// (1-based) panic before touching anything: a real panic raised on the
+/// store's writer, which a shard meets where it joins the commit — at
+/// an epoch close in the middle of a chunk, or when its feed closes.
 #[derive(Debug)]
 struct PanickingDisk {
     inner: SimBackend,
@@ -495,9 +496,7 @@ struct PanickingDisk {
     dying: Vec<u32>,
 }
 
-/// Payload of the disk's panics, kept off stderr by [`quiet_disk_panics`]
-/// both where the disk raises it, on the store's writer, and where the
-/// executor raises it again, boxed, at its join.
+/// Payload of the disk's panics, kept off stderr by [`quiet_disk_panics`].
 struct DiskPanic;
 
 fn quiet_disk_panics() {
@@ -505,11 +504,7 @@ fn quiet_disk_panics() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let raised_again = payload
-                .downcast_ref::<Box<dyn std::any::Any + Send>>()
-                .is_some_and(|inner| inner.is::<DiskPanic>());
-            if !payload.is::<DiskPanic>() && !raised_again {
+            if info.payload().downcast_ref::<DiskPanic>().is_none() {
                 prev(info);
             }
         }));
@@ -619,4 +614,109 @@ fn panics_escaping_a_chunk_are_pinned_to_their_record() {
     assert_eq!(report.records_poisoned, 1, "recurring");
     assert_eq!(report.records, records.len() as u64, "recurring");
     assert_bias_identity("recurring", &report, &hfta, records.len());
+}
+
+/// The last commit a supervised run hands off is still in flight on the
+/// store's writer when the shard's feed closes; a backend panic in it is
+/// caught there, where the shard joins it inside its panic boundary, and
+/// charged to the record whose offer crossed the last boundary (the
+/// partition's first record of its last epoch). The last shard's store
+/// panics on that commit's write, counted from a fault-free twin.
+///
+/// * then `finish`, transient (that write only): one restart, a replay
+///   that commits again, and a report bit-identical to the fault-free
+///   run apart from `shard_restarts`;
+/// * then `finish`, recurring (that write and the two rewrites after
+///   it): the record is quarantined after `poison_threshold` kills and
+///   the run stays exact up to the bias identity;
+/// * then a hot swap, transient: the swap's quiesce barrier finds no
+///   commit in flight and refuses the open epoch as unaligned, then the
+///   aligned swap commits, and the run ends bit-identical to a
+///   fault-free twin taking the same steps apart from `shard_restarts`.
+#[test]
+fn a_panic_in_a_runs_last_commit_is_caught_when_the_feed_closes() {
+    quiet_disk_panics();
+    let records = stream(scale());
+    let n = 2;
+    let target = n - 1;
+    let half = records
+        .iter()
+        .position(|r| r.ts_micros >= 3 * EPOCH)
+        .expect("the stream reaches epoch 3");
+    let deploy = |dying: Vec<u32>| {
+        let disk = PanickingDisk {
+            inner: SimBackend::new(),
+            writes: 0,
+            dying,
+        };
+        let stores = vec![
+            StoreHandle::in_memory().unwrap(),
+            StoreHandle::new(CheckpointStore::open(Box::new(disk)).unwrap()),
+        ];
+        (build(n, false).with_stores(stores.clone()), stores)
+    };
+    // Writes the target's store has run once `prefix` has streamed.
+    let writes_after = |prefix: &[Record]| {
+        let (mut sx, stores) = deploy(vec![]);
+        sx.run(prefix);
+        u32::try_from(stores[target].stats().commits).unwrap()
+    };
+
+    let whole = writes_after(&records);
+    let finished = |dying: Vec<u32>| {
+        let (mut sx, _) = deploy(dying);
+        sx.run(&records);
+        let health = sx.shard_health(target).clone();
+        let (report, hfta) = sx.finish();
+        (report, hfta, health)
+    };
+    let (clean_report, clean_hfta, clean_health) = finished(vec![]);
+    assert_eq!(clean_health.panics_caught, 0);
+    let (report, hfta, health) = finished(vec![whole]);
+    assert_eq!((health.panics_caught, health.restarts), (1, 1), "finish");
+    assert!(health.poisoned.is_empty(), "finish");
+    let mut scrubbed = report.clone();
+    scrubbed.shard_restarts = 0;
+    assert_eq!(scrubbed, clean_report, "finish: report vs fault-free");
+    assert_eq!(hfta.results(), clean_hfta.results(), "finish: results");
+
+    let part = build(n, false).partition(&records).swap_remove(target);
+    let last = part.last().expect("the partition is not empty").ts_micros / EPOCH;
+    let at = part
+        .iter()
+        .position(|r| r.ts_micros >= last * EPOCH)
+        .expect("the partition reaches its last epoch");
+    let (report, hfta, health) = finished(vec![whole, whole + 1, whole + 2]);
+    assert_eq!((health.panics_caught, health.restarts), (3, 3), "recurring");
+    assert_eq!(health.poisoned.len(), 1, "recurring");
+    assert_eq!(health.poisoned[0].index, at as u64, "recurring");
+    assert_eq!(health.poisoned[0].record, part[at], "recurring");
+    assert_eq!(report.records_poisoned, 1, "recurring");
+    assert_eq!(report.records, records.len() as u64, "recurring");
+    assert_bias_identity("recurring", &report, &hfta, records.len());
+
+    let flat = || PhysicalPlan::flat([(s("A"), 16), (s("B"), 16)]);
+    let swapped = |dying: Vec<u32>| {
+        let (mut sx, _) = deploy(dying);
+        sx.run(&records[..half]);
+        let refused = sx.hot_swap(flat(), &SwapFault::none());
+        assert!(
+            matches!(refused, Err(SwapError::Unaligned(_))),
+            "epoch 2 is still open: {refused:?}"
+        );
+        sx.align_to_epoch(3);
+        let swap = sx.hot_swap(flat(), &SwapFault::none()).expect("aligned");
+        assert!(swap.outcome.committed());
+        sx.run(&records[half..]);
+        let restarts = sx.shard_health(target).restarts;
+        let (report, hfta) = sx.finish();
+        (report, hfta, restarts)
+    };
+    let (clean_report, clean_hfta, _) = swapped(vec![]);
+    let (report, hfta, restarts) = swapped(vec![writes_after(&records[..half])]);
+    assert_eq!(restarts, 1, "hot swap");
+    let mut scrubbed = report.clone();
+    scrubbed.shard_restarts = 0;
+    assert_eq!(scrubbed, clean_report, "hot swap: report vs fault-free");
+    assert_eq!(hfta.results(), clean_hfta.results(), "hot swap: results");
 }
