@@ -21,7 +21,8 @@
 //! thread.
 //!
 //! With `shard.rs`, this is the only runtime module that spawns a
-//! thread (lint D005).
+//! thread (lint D005), and with `supervise.rs` the only one that
+//! re-raises a panic (lint R005).
 
 use crate::store::ChainHead;
 use msa_stream::store::StoreError;
@@ -167,7 +168,8 @@ impl Settled<'_> {
 impl Landing {
     /// The outcome of a commit that has landed: the caller settled the
     /// writer after handing it off. A panic the commit died of is raised
-    /// again here, on the caller's thread.
+    /// again here, on the caller's thread, with its own payload and
+    /// without running the panic hook a second time.
     pub(crate) fn outcome(&self) -> Outcome {
         let mut joined = lock(&self.0);
         if let Some(Ok(outcome)) = &*joined {
@@ -176,7 +178,7 @@ impl Landing {
         match joined.take() {
             Some(Err(payload)) => {
                 drop(joined);
-                std::panic::panic_any(payload)
+                std::panic::resume_unwind(payload)
             }
             // Only a clone of an executor whose twin already raised the
             // commit's panic finds nothing here.

@@ -168,8 +168,8 @@ pub const CATALOG: &[Rule] = &[
         id: "R005",
         group: "robustness",
         severity: Severity::Error,
-        summary: "no catch_unwind/resume_unwind outside crates/gigascope/src/supervise.rs",
-        help: "route panic handling through supervise::ShardDriver; scattered panic boundaries hide shard deaths from the supervisor's restart/quarantine accounting",
+        summary: "no catch_unwind/resume_unwind outside crates/gigascope/src/supervise.rs (crates/gigascope/src/writer.rs may resume_unwind)",
+        help: "route panic handling through supervise::ShardDriver; scattered panic boundaries hide shard deaths from the supervisor's restart/quarantine accounting; only the store's writer may re-raise, at a commit's join, on the thread the supervisor guards",
         check: r005_panic_boundary,
     },
     Rule {
@@ -458,16 +458,21 @@ fn d006_wall_clock_calls(rule: &'static Rule, ctx: &FileCtx) -> Vec<Finding> {
 /// `catch_unwind` swallows a shard death without the restart, replay
 /// and quarantine accounting that keeps supervised runs exact, and a
 /// stray `resume_unwind` re-raises across threads what the supervisor
-/// should have absorbed.
+/// should have absorbed. The checkpoint store's writer (`writer.rs`)
+/// may `resume_unwind`: it raises a backend panic from its commit
+/// thread again where the executor joins the commit, on the thread the
+/// supervisor guards, with the payload intact.
 fn r005_panic_boundary(rule: &'static Rule, ctx: &FileCtx) -> Vec<Finding> {
     if ctx.rel_path == "crates/gigascope/src/supervise.rs" || ctx.is_test_path() {
         return Vec::new();
     }
+    let writer = ctx.rel_path == "crates/gigascope/src/writer.rs";
     let toks = &ctx.lexed.tokens;
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokenKind::Ident
             || !matches!(t.text.as_str(), "catch_unwind" | "resume_unwind")
+            || (writer && t.text == "resume_unwind")
         {
             continue;
         }

@@ -157,8 +157,15 @@ fn r005_panic_boundary() {
     let hits = fire_at("crates/gigascope/src/shard.rs", pos, "R005");
     assert_eq!(hits.len(), 2, "catch_unwind + resume_unwind: {hits:?}");
     assert_eq!(fires("crates/gigascope/src/shard.rs", neg, "R005"), 0);
-    // The supervisor is the one sanctioned home for panic boundaries.
+    // The supervisor is the one sanctioned home for panic boundaries;
+    // the store's writer may re-raise a commit's panic, never catch one.
     assert_eq!(fires("crates/gigascope/src/supervise.rs", pos, "R005"), 0);
+    let writer = fire_at("crates/gigascope/src/writer.rs", pos, "R005");
+    assert_eq!(writer, hits[..1], "catch_unwind only: {writer:?}");
+    for module in ["executor.rs", "store.rs", "swap.rs"] {
+        let path = format!("crates/gigascope/src/{module}");
+        assert_eq!(fires(&path, pos, "R005"), 2, "{path}");
+    }
     // Test paths are exempt wholesale.
     assert_eq!(fires("tests/supervision.rs", pos, "R005"), 0);
 }
