@@ -477,33 +477,25 @@ impl ShardDriver {
     /// with a commit in flight. A backend panic raised at this join is
     /// charged to the record whose offer crossed that boundary: the
     /// shard restarts from its checkpoint, replays, and joins again, and
-    /// a record that keeps killing it is quarantined like any other. A
-    /// record the replay buffer no longer holds cannot be charged; the
-    /// shard restarts all the same, and after `poison_threshold` such
-    /// panics in a row the commit is given up without a restart, which
-    /// leaves the executor whole and its next commit covering the lost
-    /// one's results.
+    /// a record that keeps killing it is quarantined like any other.
+    /// Once that record has left the replay buffer a restart could only
+    /// lose records, so the commit is given up instead: the panic struck
+    /// the writer's thread, the executor is whole, and its next commit
+    /// covers the lost one's results.
     fn land_commit(&mut self) {
-        let mut uncharged = 0;
         while let Some(at) = self.ex.in_flight_records() {
             let ex = &mut self.ex;
             if catch_unwind(AssertUnwindSafe(|| ex.join_commit())).is_ok() {
                 continue;
             }
             let record = locate(&self.buf, self.chunk_start, at)
+                .filter(|_| at >= self.buf_start)
                 .and_then(|(chunk, from)| chunk.get(lane(at - from)));
-            if let Some(record) = record {
-                self.on_panic(at, record);
-            } else {
-                self.heartbeat.publish(ShardState::Dead);
+            let Some(record) = record else {
                 self.health.panics_caught += 1;
-                uncharged += 1;
-                if uncharged >= self.policy.poison_threshold {
-                    self.heartbeat.publish(ShardState::Healthy);
-                    return;
-                }
-                self.restart();
-            }
+                return;
+            };
+            self.on_panic(at, record);
             self.pump();
         }
     }

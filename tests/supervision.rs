@@ -629,6 +629,9 @@ fn panics_escaping_a_chunk_are_pinned_to_their_record() {
 /// * then `finish`, recurring (that write and the two rewrites after
 ///   it): the record is quarantined after `poison_threshold` kills and
 ///   the run stays exact up to the bias identity;
+/// * then `finish`, transient, with an eight-record replay buffer that
+///   no longer holds that record: the commit is given up without a
+///   restart, and the report is bit-identical to the fault-free run;
 /// * then a hot swap, transient: the swap's quiesce barrier finds no
 ///   commit in flight and refuses the open epoch as unaligned, then the
 ///   aligned swap commits, and the run ends bit-identical to a
@@ -643,7 +646,7 @@ fn a_panic_in_a_runs_last_commit_is_caught_when_the_feed_closes() {
         .iter()
         .position(|r| r.ts_micros >= 3 * EPOCH)
         .expect("the stream reaches epoch 3");
-    let deploy = |dying: Vec<u32>| {
+    let deploy = |dying: Vec<u32>, policy: SupervisorPolicy| {
         let disk = PanickingDisk {
             inner: SimBackend::new(),
             writes: 0,
@@ -653,26 +656,30 @@ fn a_panic_in_a_runs_last_commit_is_caught_when_the_feed_closes() {
             StoreHandle::in_memory().unwrap(),
             StoreHandle::new(CheckpointStore::open(Box::new(disk)).unwrap()),
         ];
-        (build(n, false).with_stores(stores.clone()), stores)
+        let sx = build(n, false)
+            .with_stores(stores.clone())
+            .with_supervision(policy);
+        (sx, stores)
     };
     // Writes the target's store has run once `prefix` has streamed.
     let writes_after = |prefix: &[Record]| {
-        let (mut sx, stores) = deploy(vec![]);
+        let (mut sx, stores) = deploy(vec![], SupervisorPolicy::default());
         sx.run(prefix);
         u32::try_from(stores[target].stats().commits).unwrap()
     };
 
     let whole = writes_after(&records);
-    let finished = |dying: Vec<u32>| {
-        let (mut sx, _) = deploy(dying);
+    let finished = |dying: Vec<u32>, policy: SupervisorPolicy| {
+        let (mut sx, _) = deploy(dying, policy);
         sx.run(&records);
         let health = sx.shard_health(target).clone();
         let (report, hfta) = sx.finish();
         (report, hfta, health)
     };
-    let (clean_report, clean_hfta, clean_health) = finished(vec![]);
+    let policy = SupervisorPolicy::default();
+    let (clean_report, clean_hfta, clean_health) = finished(vec![], policy);
     assert_eq!(clean_health.panics_caught, 0);
-    let (report, hfta, health) = finished(vec![whole]);
+    let (report, hfta, health) = finished(vec![whole], policy);
     assert_eq!((health.panics_caught, health.restarts), (1, 1), "finish");
     assert!(health.poisoned.is_empty(), "finish");
     let mut scrubbed = report.clone();
@@ -686,7 +693,7 @@ fn a_panic_in_a_runs_last_commit_is_caught_when_the_feed_closes() {
         .iter()
         .position(|r| r.ts_micros >= last * EPOCH)
         .expect("the partition reaches its last epoch");
-    let (report, hfta, health) = finished(vec![whole, whole + 1, whole + 2]);
+    let (report, hfta, health) = finished(vec![whole, whole + 1, whole + 2], policy);
     assert_eq!((health.panics_caught, health.restarts), (3, 3), "recurring");
     assert_eq!(health.poisoned.len(), 1, "recurring");
     assert_eq!(health.poisoned[0].index, at as u64, "recurring");
@@ -695,9 +702,18 @@ fn a_panic_in_a_runs_last_commit_is_caught_when_the_feed_closes() {
     assert_eq!(report.records, records.len() as u64, "recurring");
     assert_bias_identity("recurring", &report, &hfta, records.len());
 
+    // An eight-record replay buffer has let go of that record by the
+    // time the feed closes, so the commit is given up, with no restart.
+    let short = policy.with_replay_capacity(8);
+    let (clean_report, clean_hfta, _) = finished(vec![], short);
+    let (report, hfta, health) = finished(vec![whole], short);
+    assert_eq!((health.panics_caught, health.restarts), (1, 0), "given up");
+    assert_eq!(report, clean_report, "given up: report vs fault-free");
+    assert_eq!(hfta.results(), clean_hfta.results(), "given up: results");
+
     let flat = || PhysicalPlan::flat([(s("A"), 16), (s("B"), 16)]);
     let swapped = |dying: Vec<u32>| {
-        let (mut sx, _) = deploy(dying);
+        let (mut sx, _) = deploy(dying, policy);
         sx.run(&records[..half]);
         let refused = sx.hot_swap(flat(), &SwapFault::none());
         assert!(
